@@ -55,10 +55,36 @@
 // single epoch bump, so a concurrent reader observes it on exactly one
 // shard at all times. View pins move visibility across several queries when
 // an invariant spans more than one call.
+//
+// # One encoding per concept
+//
+// The facade adds no encodings of its own: every workload-, policy- and
+// result-shaped public type is an alias of the internal type the engine
+// already works in, so values cross the API boundary uncopied and an
+// operation has exactly one representation from Execute down to the
+// write-ahead log.
+//
+//	public name                      internal type
+//	Mode (ModeCasper …)              table.Mode (Casper …)
+//	SyncMode (SyncModeInterval …)    wal.SyncPolicy (SyncInterval …)
+//	Op                               workload.Op
+//	OpKind (PointQuery … Scan)       workload.Kind (Q1PointQuery … Q8Scan)
+//	Filter                           table.PayloadFilter
+//	View, Cursor, ScanOptions        shard.View, shard.Cursor, shard.ScanOptions
+//	Writer, PendingBatch             shard.Writer, shard.Pending
+//	LayoutSummary, PendingMove       shard.LayoutSummary, shard.PendingMove
+//	RetrainPolicy, RebalancePolicy   shard.RetrainPolicy, shard.RebalancePolicy
+//	RebalanceResult, -Strategy       shard.RebalanceResult, shard.RebalanceStrategy
+//	AdmissionPolicy                  shard.AdmissionPolicy
+//	Snapshot, Event, OpStats, …      obs.Snapshot, obs.Event, obs.OpStats, …
+//
+// Below the facade the same holds for mutations: a write is one wal.Record,
+// which the retrain journal keeps, the WAL persists, and a single applier
+// replays — onto a retrain's shadow table, onto a checkpoint at recovery,
+// and onto a follower.
 package casper
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -75,50 +101,27 @@ import (
 )
 
 // Mode selects the column layout strategy (§7 of the paper).
-type Mode int
+type Mode = table.Mode
 
 const (
 	// ModeNoOrder stores the column in insertion order (vanilla
 	// column-store baseline).
-	ModeNoOrder Mode = iota
+	ModeNoOrder = table.NoOrder
 	// ModeSorted keeps the key column fully sorted.
-	ModeSorted
+	ModeSorted = table.Sorted
 	// ModeStateOfArt is a sorted column with a global delta store — the
 	// paper's state-of-the-art comparison point.
-	ModeStateOfArt
+	ModeStateOfArt = table.StateOfArt
 	// ModeEqui uses equi-width range partitioning.
-	ModeEqui
+	ModeEqui = table.Equi
 	// ModeEquiGV adds evenly distributed ghost values to ModeEqui.
-	ModeEquiGV
+	ModeEquiGV = table.EquiGV
 	// ModeCasper uses the workload-optimized layout (call Train).
-	ModeCasper
+	ModeCasper = table.Casper
 )
 
-// String implements fmt.Stringer.
-func (m Mode) String() string { return tableMode(m).String() }
-
 // AllModes lists every layout mode in the paper's comparison order.
-func AllModes() []Mode {
-	return []Mode{ModeCasper, ModeEquiGV, ModeEqui, ModeStateOfArt, ModeSorted, ModeNoOrder}
-}
-
-func tableMode(m Mode) table.Mode {
-	switch m {
-	case ModeNoOrder:
-		return table.NoOrder
-	case ModeSorted:
-		return table.Sorted
-	case ModeStateOfArt:
-		return table.StateOfArt
-	case ModeEqui:
-		return table.Equi
-	case ModeEquiGV:
-		return table.EquiGV
-	case ModeCasper:
-		return table.Casper
-	}
-	panic(fmt.Sprintf("casper: unknown mode %d", int(m)))
-}
+func AllModes() []Mode { return table.Modes() }
 
 // Options configures Open.
 type Options struct {
@@ -194,29 +197,19 @@ type AdmissionPolicy = shard.AdmissionPolicy
 var ErrOverload = shard.ErrOverload
 
 // SyncMode selects when a durable engine fsyncs its write-ahead logs.
-type SyncMode int
+type SyncMode = wal.SyncPolicy
 
 const (
 	// SyncModeInterval fsyncs at most once per Options.SyncEvery — bounded
 	// data loss, near-in-memory ingest throughput (the default).
-	SyncModeInterval SyncMode = iota
+	SyncModeInterval = wal.SyncInterval
 	// SyncModeAlways makes every acknowledged write durable; concurrent
 	// writers group-commit behind shared fsyncs.
-	SyncModeAlways
+	SyncModeAlways = wal.SyncAlways
 	// SyncModeNone never fsyncs during operation (only at checkpoints and
 	// Close); a crash loses whatever the OS had not flushed.
-	SyncModeNone
+	SyncModeNone = wal.SyncNone
 )
-
-func walPolicy(m SyncMode) wal.SyncPolicy {
-	switch m {
-	case SyncModeAlways:
-		return wal.SyncAlways
-	case SyncModeNone:
-		return wal.SyncNone
-	}
-	return wal.SyncInterval
-}
 
 // Engine is a storage engine instance: a fleet of one or more independently
 // laid-out Casper tables behind a single table-like API.
@@ -225,9 +218,6 @@ type Engine struct {
 	params iomodel.CostParams
 	mode   Mode
 	mgr    *txn.Manager
-
-	monMu sync.Mutex
-	mon   *Monitor
 
 	// obsOnce latches metric collection on: the first Metrics (or
 	// EnableMetrics) call enables the registry permanently, so an engine
@@ -304,11 +294,11 @@ func shardConfig(opts Options) (shard.Config, iomodel.CostParams, *txn.Oracle, e
 		Gen:       gen,
 		Epoch:     oracle,
 		Dir:       opts.Dir,
-		Sync:      walPolicy(opts.Sync),
+		Sync:      opts.Sync,
 		SyncEvery: opts.SyncEvery,
 		Admission: opts.Admission,
 		Table: table.Config{
-			Mode:           tableMode(opts.Mode),
+			Mode:           opts.Mode,
 			PayloadCols:    payloadCols,
 			ChunkValues:    opts.ChunkValues,
 			GhostFrac:      ghostFrac,
@@ -343,7 +333,7 @@ func (e *Engine) CostParams() string { return e.params.String() }
 // Models, solves the layout optimization (parallel across chunks), and
 // applies the layouts with Eq. 18 ghost allocation.
 func (e *Engine) Train(sample []Op, parallelism int) error {
-	return e.sh.Train(toWorkloadOps(sample), parallelism)
+	return e.sh.Train(sample, parallelism)
 }
 
 // PointQuery returns the number of live rows with the given key (Q1).
@@ -355,20 +345,14 @@ func (e *Engine) RangeCount(lo, hi int64) int { return e.sh.RangeCount(lo, hi) }
 // RangeSum sums the keys of live rows in [lo, hi] (Q3).
 func (e *Engine) RangeSum(lo, hi int64) int64 { return e.sh.RangeSum(lo, hi) }
 
-// Filter is a conjunctive range predicate on one payload column.
-type Filter struct {
-	Col    int
-	Lo, Hi int32
-}
+// Filter is a conjunctive range predicate on one payload column: rows pass
+// when Lo <= payload[Col] <= Hi.
+type Filter = table.PayloadFilter
 
 // MultiRangeSum runs a TPC-H-Q6-shaped query: key range plus payload
 // filters, summing payload column sumCol over qualifying rows.
 func (e *Engine) MultiRangeSum(lo, hi int64, filters []Filter, sumCol int) int64 {
-	fs := make([]table.PayloadFilter, len(filters))
-	for i, f := range filters {
-		fs[i] = table.PayloadFilter{Col: f.Col, Lo: f.Lo, Hi: f.Hi}
-	}
-	return e.sh.MultiRangeSum(lo, hi, fs, sumCol)
+	return e.sh.MultiRangeSum(lo, hi, filters, sumCol)
 }
 
 // Insert adds a row with the given key (Q4). On a durable engine a WAL
@@ -433,9 +417,15 @@ func (e *Engine) PendingMoves() []PendingMove { return e.sh.PendingMoves() }
 // not a full snapshot: single-shard writes (Insert, Delete, same-shard
 // UpdateKey) do not pass through the move gate and may land between the
 // view's queries.
-type View struct {
-	v *shard.View
-}
+//
+// Its methods mirror the engine's reads under the pinned snapshot: Epoch,
+// PointQuery, RangeCount, RangeSum, MultiRangeSum, Payload, Len, and Scan.
+// View.Scan pins the cursor too — no cross-shard move or rebalance install
+// can interleave, so two drains of the same range inside one View yield
+// byte-identical streams; the cursor is only valid inside the callback, and
+// single-shard inserts and deletes may still land between batches (a View
+// is move-stable, not write-stable).
+type View = shard.View
 
 // View runs fn over a move-stable read handle pinned at the current epoch
 // and routing snapshot. Queries inside fn must go through the View's
@@ -443,43 +433,7 @@ type View struct {
 // queued cross-shard move. Individual engine queries are already
 // snapshot-stable on their own — View is only needed when one invariant
 // spans several calls.
-func (e *Engine) View(fn func(*View)) {
-	e.sh.View(func(v *shard.View) { fn(&View{v: v}) })
-}
-
-// Epoch returns the epoch the view is pinned at.
-func (v *View) Epoch() uint64 { return v.v.Epoch() }
-
-// PointQuery is Engine.PointQuery under the view's snapshot.
-func (v *View) PointQuery(key int64) int { return v.v.PointQuery(key) }
-
-// RangeCount is Engine.RangeCount under the view's snapshot.
-func (v *View) RangeCount(lo, hi int64) int { return v.v.RangeCount(lo, hi) }
-
-// RangeSum is Engine.RangeSum under the view's snapshot.
-func (v *View) RangeSum(lo, hi int64) int64 { return v.v.RangeSum(lo, hi) }
-
-// MultiRangeSum is Engine.MultiRangeSum under the view's snapshot.
-func (v *View) MultiRangeSum(lo, hi int64, filters []Filter, sumCol int) int64 {
-	fs := make([]table.PayloadFilter, len(filters))
-	for i, f := range filters {
-		fs[i] = table.PayloadFilter{Col: f.Col, Lo: f.Lo, Hi: f.Hi}
-	}
-	return v.v.MultiRangeSum(lo, hi, fs, sumCol)
-}
-
-// Payload is Engine.Payload under the view's snapshot.
-func (v *View) Payload(key int64, col int) (int32, bool) { return v.v.Payload(key, col) }
-
-// Len is Engine.Len under the view's snapshot.
-func (v *View) Len() int { return v.v.Len() }
-
-// Scan is Engine.Scan pinned to the view's snapshot: no cross-shard move
-// or rebalance install can interleave, so two drains of the same range
-// inside one View yield byte-identical streams. The cursor is only valid
-// inside the View callback. Single-shard inserts and deletes may still
-// land between batches — a View is move-stable, not write-stable.
-func (v *View) Scan(lo, hi int64, opts ScanOptions) *Cursor { return v.v.Scan(lo, hi, opts) }
+func (e *Engine) View(fn func(*View)) { e.sh.View(fn) }
 
 // ---------------------------------------------------------------------------
 // Streaming scans
@@ -525,172 +479,66 @@ var ErrBadPageToken = shard.ErrBadPageToken
 func (e *Engine) Scan(lo, hi int64, opts ScanOptions) *Cursor { return e.sh.Scan(lo, hi, opts) }
 
 // OpKind enumerates workload operations.
-type OpKind int
+type OpKind = workload.Kind
 
 const (
-	PointQuery OpKind = iota
-	RangeCount
-	RangeSum
-	Insert
-	Delete
-	Update
+	PointQuery = workload.Q1PointQuery
+	RangeCount = workload.Q2RangeCount
+	RangeSum   = workload.Q3RangeSum
+	Insert     = workload.Q4Insert
+	Delete     = workload.Q5Delete
+	Update     = workload.Q6Update
 	// Scan is a streaming cursor read over [Key, Key2], optionally
 	// LIMIT-bounded by Op.Limit. Execute drains the cursor and returns the
 	// row count; for the layout solver and drift monitor it is a range
 	// access over the span it requests.
-	Scan
+	Scan = workload.Q8Scan
 )
 
 // Op is one workload operation. Key2 holds the range end (RangeCount,
 // RangeSum, Scan) or the new key (Update). Limit caps the rows a Scan
 // yields (0 = unlimited) and is ignored by every other kind.
-type Op struct {
-	Kind  OpKind
-	Key   int64
-	Key2  int64
-	Limit int
-}
-
-func toWorkloadOps(ops []Op) []workload.Op {
-	out := make([]workload.Op, len(ops))
-	for i, op := range ops {
-		out[i] = workload.Op{Kind: workloadKind(op.Kind), Key: op.Key, Key2: op.Key2, Limit: op.Limit}
-	}
-	return out
-}
-
-func workloadKind(k OpKind) workload.Kind {
-	switch k {
-	case PointQuery:
-		return workload.Q1PointQuery
-	case RangeCount:
-		return workload.Q2RangeCount
-	case RangeSum:
-		return workload.Q3RangeSum
-	case Insert:
-		return workload.Q4Insert
-	case Delete:
-		return workload.Q5Delete
-	case Update:
-		return workload.Q6Update
-	case Scan:
-		return workload.Q8Scan
-	}
-	panic(fmt.Sprintf("casper: unknown op kind %d", int(k)))
-}
-
-func fromWorkloadOps(ops []workload.Op) []Op {
-	out := make([]Op, len(ops))
-	for i, op := range ops {
-		var k OpKind
-		switch op.Kind {
-		case workload.Q1PointQuery:
-			k = PointQuery
-		case workload.Q2RangeCount:
-			k = RangeCount
-		case workload.Q3RangeSum:
-			k = RangeSum
-		case workload.Q4Insert:
-			k = Insert
-		case workload.Q5Delete:
-			k = Delete
-		case workload.Q6Update:
-			k = Update
-		case workload.Q8Scan:
-			k = Scan
-		}
-		out[i] = Op{Kind: k, Key: op.Key, Key2: op.Key2, Limit: op.Limit}
-	}
-	return out
-}
+type Op = workload.Op
 
 // Execute runs one operation, returning a sink value (query result or 1/0
-// success flag for writes). When a monitor is active the operation is also
-// recorded for later retraining.
-func (e *Engine) Execute(op Op) int64 {
-	e.monMu.Lock()
-	mon := e.mon
-	e.monMu.Unlock()
-	if mon != nil {
-		mon.record(op)
-	}
-	return e.sh.Execute(workload.Op{Kind: workloadKind(op.Kind), Key: op.Key, Key2: op.Key2, Limit: op.Limit})
-}
+// success flag for writes). An Op whose Kind is none of the constants above
+// executes nothing and returns 0. While a monitor is active (StartMonitor,
+// or a background retrainer/rebalancer) the operation is also recorded for
+// retraining — as is every call of the direct methods (PointQuery, Insert,
+// …), which Execute merely dispatches to.
+func (e *Engine) Execute(op Op) int64 { return e.sh.Execute(op) }
 
 // ExecuteAll runs the operations serially.
-func (e *Engine) ExecuteAll(ops []Op) int64 {
-	e.monMu.Lock()
-	mon := e.mon
-	e.monMu.Unlock()
-	if mon == nil {
-		return e.sh.ExecuteAll(toWorkloadOps(ops))
-	}
-	var sink int64
-	for _, op := range ops {
-		sink += e.Execute(op)
-	}
-	return sink
-}
+func (e *Engine) ExecuteAll(ops []Op) int64 { return e.sh.ExecuteAll(ops) }
 
 // ExecuteParallel spreads the operations over the given number of worker
 // goroutines; shard- and chunk-level locking serializes conflicting writes.
 func (e *Engine) ExecuteParallel(ops []Op, workers int) int64 {
-	return e.sh.ExecuteParallel(toWorkloadOps(ops), workers)
+	return e.sh.ExecuteParallel(ops, workers)
 }
 
 // ApplyBatch groups the operations by owning shard and applies each group on
 // its own goroutine — the batched write path. Operations keep their relative
 // order within a shard; operations spanning shards apply after the per-shard
-// waves. Returns the summed sink values. Batched operations feed an active
-// monitor just like Execute, so Retrain sees the full workload.
-func (e *Engine) ApplyBatch(ops []Op) int64 {
-	e.monMu.Lock()
-	mon := e.mon
-	e.monMu.Unlock()
-	if mon != nil {
-		for _, op := range ops {
-			mon.record(op)
-		}
-	}
-	return e.sh.ApplyBatch(toWorkloadOps(ops))
-}
+// waves. Returns the summed sink values.
+func (e *Engine) ApplyBatch(ops []Op) int64 { return e.sh.ApplyBatch(ops) }
 
-// PendingBatch is a handle to a batch being applied asynchronously.
-type PendingBatch struct {
-	ch chan int64
-}
-
-// Wait blocks until the batch has been applied and returns its summed sink.
-func (b *PendingBatch) Wait() int64 { return <-b.ch }
+// PendingBatch is a handle to a batch being applied asynchronously; Wait
+// blocks until the batch has been applied and returns its summed sink.
+type PendingBatch = shard.Pending
 
 // ApplyBatchAsync applies the batch on a background goroutine and returns
-// immediately; Wait on the handle to collect the result. Like ApplyBatch,
-// the operations feed an active monitor.
-func (e *Engine) ApplyBatchAsync(ops []Op) *PendingBatch {
-	b := &PendingBatch{ch: make(chan int64, 1)}
-	go func() { b.ch <- e.ApplyBatch(ops) }()
-	return b
-}
+// immediately; Wait on the handle to collect the result.
+func (e *Engine) ApplyBatchAsync(ops []Op) *PendingBatch { return e.sh.ApplyBatchAsync(ops) }
 
-// LayoutSummary describes one chunk's physical layout.
-type LayoutSummary struct {
-	Shard      int
-	Chunk      int
-	Partitions int
-	Sizes      []int // live values per partition
-	Ghosts     []int // free ghost slots per partition
-}
+// LayoutSummary describes one chunk's physical layout: its shard and chunk
+// ordinals, the partition count, and the live values (Sizes) and free ghost
+// slots (Ghosts) per partition.
+type LayoutSummary = shard.LayoutSummary
 
 // Layouts reports the current physical layout of partitioned chunks across
 // all shards.
-func (e *Engine) Layouts() []LayoutSummary {
-	in := e.sh.Layouts()
-	out := make([]LayoutSummary, len(in))
-	for i, l := range in {
-		out[i] = LayoutSummary{Shard: l.Shard, Chunk: l.Chunk, Partitions: l.Partitions, Sizes: l.Sizes, Ghosts: l.Ghosts}
-	}
-	return out
-}
+func (e *Engine) Layouts() []LayoutSummary { return e.sh.Layouts() }
 
 // ---------------------------------------------------------------------------
 // Workload helpers
@@ -715,131 +563,12 @@ func PresetWorkload(name string, keys []int64, domainMax int64, ops int, seed in
 	if err != nil {
 		return nil, err
 	}
-	ws, err := workload.Generate(keys, domainMax, spec)
-	if err != nil {
-		return nil, err
-	}
-	return fromWorkloadOps(ws), nil
+	return workload.Generate(keys, domainMax, spec)
 }
 
 // UniformKeys generates n uniformly distributed keys over [0, domainMax].
 func UniformKeys(n int, domainMax int64, seed int64) []int64 {
 	return workload.UniformKeys(n, domainMax, seed)
-}
-
-// ---------------------------------------------------------------------------
-// Transactions (§6.1: snapshot isolation, first committer wins)
-// ---------------------------------------------------------------------------
-
-// Tx is a snapshot-isolation transaction over row presence. Reads observe
-// the snapshot at Begin; buffered writes apply to storage only on Commit.
-// Concurrent transactions writing the same key conflict: the first to
-// commit wins, later ones abort.
-type Tx struct {
-	e     *Engine
-	inner *txn.Txn
-	ops   []Op
-}
-
-// Begin starts a transaction.
-func (e *Engine) Begin() *Tx {
-	return &Tx{e: e, inner: e.mgr.Begin()}
-}
-
-// seen ensures the version store knows the storage state of key before the
-// transaction reasons about it.
-func (t *Tx) seen(key int64) {
-	if _, ok := t.e.mgr.ReadCommitted(key); !ok {
-		if n := t.e.sh.PointQuery(key); n > 0 {
-			t.e.mgr.Seed(key, int64(n))
-		}
-	}
-}
-
-// Exists reports whether a row with the key is visible in the snapshot.
-func (t *Tx) Exists(key int64) (bool, error) {
-	t.seen(key)
-	v, ok, err := t.inner.Read(key)
-	if err != nil {
-		return false, err
-	}
-	return ok && v > 0, nil
-}
-
-// Insert buffers a row insertion.
-func (t *Tx) Insert(key int64) error {
-	t.seen(key)
-	v, _, err := t.inner.Read(key)
-	if err != nil {
-		return err
-	}
-	if err := t.inner.Write(key, v+1); err != nil {
-		return err
-	}
-	t.ops = append(t.ops, Op{Kind: Insert, Key: key})
-	return nil
-}
-
-// Delete buffers a row deletion.
-func (t *Tx) Delete(key int64) error {
-	t.seen(key)
-	v, ok, err := t.inner.Read(key)
-	if err != nil {
-		return err
-	}
-	if !ok || v <= 0 {
-		return fmt.Errorf("casper: delete of absent key %d", key)
-	}
-	if v == 1 {
-		if err := t.inner.Delete(key); err != nil {
-			return err
-		}
-	} else if err := t.inner.Write(key, v-1); err != nil {
-		return err
-	}
-	t.ops = append(t.ops, Op{Kind: Delete, Key: key})
-	return nil
-}
-
-// Update buffers a key change.
-func (t *Tx) Update(old, new int64) error {
-	if err := t.Delete(old); err != nil {
-		return err
-	}
-	if err := t.Insert(new); err != nil {
-		return err
-	}
-	// Collapse the pair into one storage-level update so the payload
-	// travels with the row.
-	t.ops = t.ops[:len(t.ops)-2]
-	t.ops = append(t.ops, Op{Kind: Update, Key: old, Key2: new})
-	return nil
-}
-
-// Commit validates the transaction (first committer wins) and applies its
-// writes to storage.
-func (t *Tx) Commit() error {
-	if err := t.inner.Commit(); err != nil {
-		if o := t.e.sh.Obs(); o.Enabled() && errors.Is(err, txn.ErrConflict) {
-			o.TxnConflicts.Inc(0)
-		}
-		return err
-	}
-	if o := t.e.sh.Obs(); o.Enabled() {
-		o.TxnCommits.Inc(0)
-	}
-	for _, op := range t.ops {
-		t.e.Execute(op)
-	}
-	return nil
-}
-
-// Abort discards the transaction.
-func (t *Tx) Abort() {
-	t.inner.Abort()
-	if o := t.e.sh.Obs(); o.Enabled() {
-		o.TxnAborts.Inc(0)
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -888,115 +617,44 @@ func ShiftWorkload(ops []Op, domainMax int64, frac float64) []Op {
 // Online monitoring and re-partitioning (the A' arc of Fig. 10)
 // ---------------------------------------------------------------------------
 
-// Monitor collects executed operations so the layout can be re-derived when
-// access patterns drift — the paper's online extension where "offline
-// indexing techniques [are] repurposed for online indexing" (§1).
-type Monitor struct {
-	mu  sync.Mutex
-	ops []Op
-	cap int
-}
+// StartMonitor begins recording every operation the engine serves so the
+// layout can be re-derived when access patterns drift — the paper's online
+// extension where "offline indexing techniques [are] repurposed for online
+// indexing" (§1). There is one op-log: the per-shard monitor windows the
+// background retrainer also samples. StartMonitor restarts them empty, each
+// keeping its shard's most recent capacity operations (capacity <= 0 keeps
+// the current window size, 8192 by default).
+func (e *Engine) StartMonitor(capacity int) { e.sh.StartMonitor(capacity) }
 
-// StartMonitor begins recording operations executed through Execute and
-// ExecuteAll, keeping the most recent capacity operations.
-func (e *Engine) StartMonitor(capacity int) {
-	if capacity <= 0 {
-		capacity = 10_000
-	}
-	e.monMu.Lock()
-	e.mon = &Monitor{cap: capacity}
-	e.monMu.Unlock()
-}
+// StopMonitor stops recording and returns the operations captured so far,
+// shard by shard in recording order (nil when no monitor was active). An
+// operation spanning several shards appears once; deletes and updates are
+// recorded only when they succeed.
+func (e *Engine) StopMonitor() []Op { return e.sh.StopMonitor() }
 
-// StopMonitor stops recording and returns the operations captured so far.
-func (e *Engine) StopMonitor() []Op {
-	e.monMu.Lock()
-	defer e.monMu.Unlock()
-	if e.mon == nil {
-		return nil
-	}
-	ops := e.mon.snapshot()
-	e.mon = nil
-	return ops
-}
-
-// Monitored returns the number of operations currently recorded.
-func (e *Engine) Monitored() int {
-	e.monMu.Lock()
-	defer e.monMu.Unlock()
-	if e.mon == nil {
-		return 0
-	}
-	e.mon.mu.Lock()
-	defer e.mon.mu.Unlock()
-	return len(e.mon.ops)
-}
-
-func (m *Monitor) record(op Op) {
-	m.mu.Lock()
-	if len(m.ops) >= m.cap {
-		// Keep the most recent window.
-		copy(m.ops, m.ops[len(m.ops)-m.cap/2:])
-		m.ops = m.ops[:m.cap/2]
-	}
-	m.ops = append(m.ops, op)
-	m.mu.Unlock()
-}
-
-func (m *Monitor) snapshot() []Op {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]Op, len(m.ops))
-	copy(out, m.ops)
-	return out
-}
+// Monitored returns the number of operations currently recorded; 0 when no
+// monitor is active.
+func (e *Engine) Monitored() int { return len(e.sh.Monitored()) }
 
 // Retrain re-solves the layout from the monitored operations and applies it
 // (a re-partitioning cycle). The monitor keeps recording. Requires
 // ModeCasper and an active monitor.
-func (e *Engine) Retrain(parallelism int) error {
-	e.monMu.Lock()
-	mon := e.mon
-	e.monMu.Unlock()
-	if mon == nil {
-		return fmt.Errorf("casper: Retrain requires an active monitor (call StartMonitor)")
-	}
-	ops := mon.snapshot()
-	if len(ops) == 0 {
-		return fmt.Errorf("casper: no monitored operations to retrain from")
-	}
-	return e.Train(ops, parallelism)
-}
+func (e *Engine) Retrain(parallelism int) error { return e.sh.Retrain(parallelism) }
 
 // RetrainPolicy tunes the background auto-retrainer (see StartAutoRetrain).
-// Zero fields select defaults.
-type RetrainPolicy struct {
-	// CheckEvery is the drift check cadence (default 100ms).
-	CheckEvery time.Duration
-	// MinOps is the minimum number of operations a shard must observe
-	// since its last training before it is considered (default 1000).
-	MinOps int
-	// MaxDrift triggers a retrain when the total-variation distance
-	// between a shard's current access histogram and its at-training
-	// baseline reaches this value in [0, 1] (default 0.15).
-	MaxDrift float64
-	// Parallelism is the per-retrain solver parallelism (default 1).
-	Parallelism int
-}
+// Zero fields select defaults: CheckEvery (drift check cadence, 100ms),
+// MinOps (operations a shard must observe since its last training before it
+// is considered, 1000), MaxDrift (total-variation distance in [0, 1] between
+// a shard's current access histogram and its at-training baseline that
+// triggers a retrain, 0.15), Parallelism (per-retrain solver parallelism, 1).
+type RetrainPolicy = shard.RetrainPolicy
 
 // StartAutoRetrain launches the background retraining worker: every
 // operation feeds per-shard access histograms, and a shard whose access
 // pattern drifts past the policy threshold is re-trained on a shadow copy
 // that is swapped in atomically — reads and writes never block on the
 // solver. Requires ModeCasper.
-func (e *Engine) StartAutoRetrain(p RetrainPolicy) error {
-	return e.sh.StartAutoRetrain(shard.RetrainPolicy{
-		CheckEvery:  p.CheckEvery,
-		MinOps:      p.MinOps,
-		MaxDrift:    p.MaxDrift,
-		Parallelism: p.Parallelism,
-	})
-}
+func (e *Engine) StartAutoRetrain(p RetrainPolicy) error { return e.sh.StartAutoRetrain(p) }
 
 // StopAutoRetrain stops the background retrainer, waiting for any in-flight
 // retrain to finish. Safe to call when none is running.
@@ -1074,38 +732,20 @@ func (e *Engine) ShardRowCounts() []int { return e.sh.RowCounts() }
 func (e *Engine) ShardSkew() float64 { return e.sh.Skew() }
 
 // RebalancePolicy tunes the background auto-rebalancer (see
-// StartAutoRebalance). Zero fields select defaults.
-type RebalancePolicy struct {
-	// CheckEvery is the skew check cadence (default 200ms).
-	CheckEvery time.Duration
-	// MaxSkew triggers a rebalance when the max/mean shard row-count ratio
-	// reaches this value (default 1.5).
-	MaxSkew float64
-	// Strategy selects the boundary proposer (default RebalanceMinimal).
-	Strategy RebalanceStrategy
-	// MinRows is the minimum total row count before rebalancing is
-	// considered (default 1024).
-	MinRows int
-	// MinOps is the minimum number of monitored operations between
-	// rebalances (default 256), so an idle engine never rebalances on
-	// stale skew.
-	MinOps int
-}
+// StartAutoRebalance). Zero fields select defaults: CheckEvery (skew check
+// cadence, 200ms), MaxSkew (max/mean shard row-count ratio that triggers a
+// rebalance, 1.5), Strategy (boundary proposer, RebalanceMinimal), MinRows
+// (total rows before rebalancing is considered, 1024), MinOps (monitored
+// operations between rebalances, 256 — an idle engine never rebalances on
+// stale skew).
+type RebalancePolicy = shard.RebalancePolicy
 
 // StartAutoRebalance launches the background rebalancing worker: when the
 // key distribution drifts so far that one shard holds MaxSkew times the mean
 // row count (and the engine is absorbing writes), the shard boundaries are
 // re-split automatically — the sharded analogue of the auto-retrainer's
 // in-shard re-layout. Requires Options.ShardByRange.
-func (e *Engine) StartAutoRebalance(p RebalancePolicy) error {
-	return e.sh.StartAutoRebalance(shard.RebalancePolicy{
-		CheckEvery: p.CheckEvery,
-		MaxSkew:    p.MaxSkew,
-		Strategy:   p.Strategy,
-		MinRows:    p.MinRows,
-		MinOps:     p.MinOps,
-	})
-}
+func (e *Engine) StartAutoRebalance(p RebalancePolicy) error { return e.sh.StartAutoRebalance(p) }
 
 // StopAutoRebalance stops the background rebalancer, waiting for any
 // in-flight rebalance to finish. Safe to call when none is running.

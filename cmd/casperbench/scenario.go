@@ -204,7 +204,7 @@ func runOneScenario(name string, rows, measuredOps int, seed int64, admission bo
 	if err != nil {
 		return nil, err
 	}
-	if err := eng.Train(casperOps(trainStream.AllOps()), runtime.NumCPU()); err != nil {
+	if err := eng.Train(trainStream.AllOps(), runtime.NumCPU()); err != nil {
 		return nil, err
 	}
 
@@ -398,41 +398,9 @@ func runScenarioOp(eng *casper.Engine, w *casper.Writer, op workload.Op) error {
 	case workload.Q6Update:
 		return w.UpdateKey(op.Key, op.Key2)
 	default:
-		eng.Execute(casperOp(op))
+		eng.Execute(op)
 		return nil
 	}
-}
-
-// casperOp converts a workload op to the public Op type.
-func casperOp(op workload.Op) casper.Op {
-	var k casper.OpKind
-	switch op.Kind {
-	case workload.Q1PointQuery:
-		k = casper.PointQuery
-	case workload.Q2RangeCount:
-		k = casper.RangeCount
-	case workload.Q3RangeSum:
-		k = casper.RangeSum
-	case workload.Q4Insert:
-		k = casper.Insert
-	case workload.Q5Delete:
-		k = casper.Delete
-	case workload.Q6Update:
-		k = casper.Update
-	case workload.Q8Scan:
-		k = casper.Scan
-	default:
-		panic(fmt.Sprintf("scenario: unroutable op kind %d", int(op.Kind)))
-	}
-	return casper.Op{Kind: k, Key: op.Key, Key2: op.Key2, Limit: op.Limit}
-}
-
-func casperOps(ops []workload.Op) []casper.Op {
-	out := make([]casper.Op, len(ops))
-	for i, op := range ops {
-		out[i] = casperOp(op)
-	}
-	return out
 }
 
 // p99us returns the 99th-percentile latency in microseconds.

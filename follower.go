@@ -9,7 +9,6 @@ import (
 
 	"casper/internal/replica"
 	"casper/internal/shard"
-	"casper/internal/table"
 )
 
 // ErrReadOnly is returned by every write method of a Follower: a follower's
@@ -60,11 +59,7 @@ func (f *Follower) RangeSum(lo, hi int64) int64 { return f.f.Engine().RangeSum(l
 // MultiRangeSum sums sumCol over keys in [lo, hi] whose payloads pass every
 // filter.
 func (f *Follower) MultiRangeSum(lo, hi int64, filters []Filter, sumCol int) int64 {
-	fs := make([]table.PayloadFilter, len(filters))
-	for i, f := range filters {
-		fs[i] = table.PayloadFilter{Col: f.Col, Lo: f.Lo, Hi: f.Hi}
-	}
-	return f.f.Engine().MultiRangeSum(lo, hi, fs, sumCol)
+	return f.f.Engine().MultiRangeSum(lo, hi, filters, sumCol)
 }
 
 // Payload returns one payload column of the row with the given key.
@@ -84,9 +79,7 @@ func (f *Follower) Scan(lo, hi int64, opts ScanOptions) *Cursor {
 // View runs fn over a pinned snapshot of the follower's applied state: the
 // apply loop cannot advance the image mid-View, so every query inside fn
 // observes one epoch.
-func (f *Follower) View(fn func(*View)) {
-	f.f.Engine().View(func(v *shard.View) { fn(&View{v: v}) })
-}
+func (f *Follower) View(fn func(*View)) { f.f.Engine().View(fn) }
 
 // Insert is rejected: followers are read-only. It returns ErrReadOnly
 // (unlike Engine.Insert, which has no error to return).

@@ -199,17 +199,9 @@ func Fig16(sc Scale) Report {
 			Ops:  sc.Ops,
 			Seed: sc.Seed + 2,
 		}
-		wops, err := workload.Generate(keys, sc.DomainMax, spec)
+		ops, err := workload.Generate(keys, sc.DomainMax, spec)
 		if err != nil {
 			panic(err)
-		}
-		ops := make([]casper.Op, len(wops))
-		for i, w := range wops {
-			kind := casper.PointQuery
-			if w.Kind == workload.Q4Insert {
-				kind = casper.Insert
-			}
-			ops[i] = casper.Op{Kind: kind, Key: w.Key}
 		}
 		if rotShift > 0 {
 			ops = casper.ShiftWorkload(ops, sc.DomainMax, rotShift)

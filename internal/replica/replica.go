@@ -146,14 +146,19 @@ func (f *Follower) pollOnce() error {
 		if err != nil {
 			// Apply what this round already polled — the other shards'
 			// records are real — then handle the failure.
-			f.rep.Apply(batch)
+			if _, aerr := f.rep.Apply(batch); aerr != nil {
+				return fmt.Errorf("replica: apply: %w", aerr)
+			}
 			if wal.IsSegmentGone(err) {
 				return f.rebootstrap()
 			}
 			return fmt.Errorf("replica: shard %d: %w", i, err)
 		}
 	}
-	applied := f.rep.Apply(batch)
+	applied, err := f.rep.Apply(batch)
+	if err != nil {
+		return fmt.Errorf("replica: apply: %w", err)
+	}
 	round := f.rounds.Add(1)
 	now := time.Now()
 	if applied == 0 {

@@ -100,7 +100,7 @@ func TestAdmissionRaceFlashCrowd(t *testing.T) {
 				recs = append(recs, ReplicatedRecord{Shard: i, Rec: r})
 			}
 		}
-		return rep.Apply(recs), nil
+		return rep.Apply(recs)
 	}
 	stopTail := make(chan struct{})
 	tailErr := make(chan error, 1)

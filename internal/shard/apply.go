@@ -1,27 +1,79 @@
 package shard
 
-// The epoch-ordered WAL applier shared by crash recovery (durable.go) and
-// live WAL-shipping replication (internal/replica): both consume a stream of
-// per-shard WAL records merged into one epoch order, and both apply each
-// record to the shard whose WAL carried it — physical placement history, not
-// routing — so per-shard append order is preserved and the replayed image is
-// byte-identical to the table the records were logged against.
+// One record, one applier. applyRecord is the only code that turns a
+// wal.Record into a table mutation, and every consumer of a record stream
+// reaches it: a shadow retrain draining its journal onto the shadow table
+// before the swap (retrain.go), crash recovery replaying WAL tails onto
+// checkpoints (durable.go), and live WAL-shipping replication applying
+// polled tails to a follower (internal/replica). The journal holds the same
+// records the WAL carries, so the three are one replay path — transactional
+// updates reach every copy of a table through one update-application
+// routine, not one per consumer.
 //
-// The two consumers differ only in pair repair. Recovery sees a stream cut
-// by a crash, so a MoveOut/MoveIn pair can be torn mid-pair; it traces pairs
-// and reconciles stragglers against checkpoint move horizons. A live
-// follower's stream is never torn — a missing pair half only happens when
-// the bootstrap checkpoint already covers it, which needs no repair — so it
-// applies with tracing disabled.
+// Recovery and replication additionally consume per-shard streams merged
+// into one epoch order, applying each record to the shard whose WAL carried
+// it — physical placement history, not routing — so per-shard append order
+// is preserved and the replayed image is byte-identical to the table the
+// records were logged against. The two differ only in pair repair. Recovery
+// sees a stream cut by a crash, so a MoveOut/MoveIn pair can be torn
+// mid-pair; it traces pairs and reconciles stragglers against checkpoint
+// move horizons. A live follower's stream is never torn — a missing pair
+// half only happens when the bootstrap checkpoint already covers it, which
+// needs no repair — so it applies with tracing disabled.
 
 import (
 	"fmt"
 	"sort"
 
 	"casper/internal/table"
-	"casper/internal/txn"
 	"casper/internal/wal"
 )
+
+// applyRecord replays one record onto t. Deletes, updates and move-outs
+// resolve duplicate keys by payload (row identity), so replay order across
+// non-conflicting writers is immaterial. It reports false when the record
+// named a (key, payload) t does not hold — the replayed timeline never
+// produced that row, so t has diverged from the stream; callers count these
+// and surface the count (retrain.swap, recovery.replay, Replicator.Mismatches).
+func applyRecord(t *table.Table, r wal.Record) bool {
+	switch r.Kind {
+	case wal.RecInsert:
+		t.Insert(r.Key)
+	case wal.RecInsertRow:
+		t.InsertRow(r.Key, r.Row)
+	case wal.RecMoveIn:
+		t.InsertRow(r.Key2, r.Row)
+	case wal.RecDelete, wal.RecMoveOut:
+		return t.DeleteRowExact(r.Key, r.Row) == nil
+	case wal.RecUpdate:
+		if t.DeleteRowExact(r.Key, r.Row) != nil {
+			return false
+		}
+		t.InsertRow(r.Key2, r.Row)
+	}
+	return true
+}
+
+// replay applies r to the shard's table with no locking, journaling or
+// logging of its own — the caller owns the shard (recovery is
+// single-threaded; a follower and the rebalance publish window hold every
+// lock). An empty shard is seeded from the row r inserts; a removal against
+// an empty shard is a mismatch. The error is a seeding failure (seedTable).
+func (s *shard) replay(r wal.Record) (matched bool, err error) {
+	if s.tbl != nil {
+		return applyRecord(s.tbl, r), nil
+	}
+	key := r.Key
+	switch r.Kind {
+	case wal.RecInsert, wal.RecInsertRow:
+	case wal.RecMoveIn:
+		key = r.Key2
+	default:
+		return false, nil
+	}
+	s.tbl, err = seedTable(s.cfg, key, r.Row)
+	return err == nil, err
+}
 
 // applier applies one epoch-ordered record stream to the engine's shards.
 // Single-threaded; the caller provides any locking the engine's liveness
@@ -29,66 +81,41 @@ import (
 type applier struct {
 	e     *Engine
 	moves map[uint64]*moveTrace // MoveOut/MoveIn pair traces; nil disables tracing
-	// mismatches counts row-identity deletes that failed during apply: the
-	// record named a (key, payload) the replayed timeline never produced, so
-	// the rebuilt image has silently diverged from the WAL. Surfaced, not
-	// fatal — the one row is lost either way, and the rest of the replay is
-	// still the best available image.
+	// mismatches counts records applyRecord reported as naming a row the
+	// replayed timeline never produced: the rebuilt image has silently
+	// diverged from the WAL. Surfaced, not fatal — the one row is lost
+	// either way, and the rest of the replay is still the best available
+	// image.
 	mismatches int
 	maxEpoch   uint64
 	maxMove    uint64
 }
 
-// apply replays one WAL record onto shard si. Deletes and updates resolve
-// duplicate keys by payload (row identity), so replay order across
-// non-conflicting writers is immaterial.
-func (a *applier) apply(si int, r wal.Record) {
+// apply replays one WAL record onto shard si, tracing move pairs when
+// enabled.
+func (a *applier) apply(si int, r wal.Record) error {
 	if r.Epoch > a.maxEpoch {
 		a.maxEpoch = r.Epoch
 	}
 	if r.MoveID > a.maxMove {
 		a.maxMove = r.MoveID
 	}
-	s := a.e.shards[si]
-	insert := func(key int64, row []int32) {
-		switch {
-		case s.tbl == nil:
-			s.seedRecovered(key, row)
-		case row == nil:
-			s.tbl.Insert(key)
-		default:
-			s.tbl.InsertRow(key, row)
-		}
+	switch {
+	case r.Kind == wal.RecRebalance:
+		return nil // carries bounds, not a row; the stream's consumer installs them
+	case a.moves != nil && r.Kind == wal.RecMoveOut:
+		a.traceFor(r).out = true
+	case a.moves != nil && r.Kind == wal.RecMoveIn:
+		a.traceFor(r).in = true
 	}
-	del := func(key int64, row []int32) bool {
-		if s.tbl == nil || s.tbl.DeleteRowExact(key, row) != nil {
-			a.mismatches++
-			return false
-		}
-		return true
+	matched, err := a.e.shards[si].replay(r)
+	if err != nil {
+		return fmt.Errorf("shard %d: %w", si, err)
 	}
-	switch r.Kind {
-	case wal.RecInsert:
-		insert(r.Key, nil)
-	case wal.RecInsertRow:
-		insert(r.Key, r.Row)
-	case wal.RecDelete:
-		del(r.Key, r.Row)
-	case wal.RecUpdate:
-		if del(r.Key, r.Row) {
-			s.tbl.InsertRow(r.Key2, r.Row)
-		}
-	case wal.RecMoveOut:
-		if a.moves != nil {
-			a.traceFor(r).out = true
-		}
-		del(r.Key, r.Row)
-	case wal.RecMoveIn:
-		if a.moves != nil {
-			a.traceFor(r).in = true
-		}
-		insert(r.Key2, r.Row)
+	if !matched {
+		a.mismatches++
 	}
+	return nil
 }
 
 func (a *applier) traceFor(r wal.Record) *moveTrace {
@@ -125,7 +152,7 @@ func (a *applier) traceFor(r wal.Record) *moveTrace {
 // lands on exactly one shard. For the same reason a failed finish-the-move
 // delete on a bulk move is expected (the stale copy may already be gone) and
 // only genuine moves (old != new) count as mismatches.
-func (a *applier) reconcile(horizons []uint64) {
+func (a *applier) reconcile(horizons []uint64) error {
 	e := a.e
 	p := e.loadPart()
 	for id, mv := range a.moves {
@@ -136,22 +163,19 @@ func (a *applier) reconcile(horizons []uint64) {
 		dst := p.Shard(mv.new)
 		if mv.out && id > horizons[dst] {
 			// Destination half lost in the crash: undo the move.
-			if s := e.shards[src]; s.tbl == nil {
-				s.seedRecovered(mv.old, mv.row)
-			} else {
-				s.tbl.InsertRow(mv.old, mv.row)
+			if _, err := e.shards[src].replay(wal.Record{Kind: wal.RecInsertRow, Key: mv.old, Row: mv.row}); err != nil {
+				return fmt.Errorf("shard %d: %w", src, err)
 			}
 		}
 		if mv.in && id > horizons[src] {
 			// Source half lost in the crash: finish the move.
-			s := e.shards[src]
-			if s.tbl == nil || s.tbl.DeleteRowExact(mv.old, mv.row) != nil {
-				if mv.old != mv.new {
-					a.mismatches++
-				}
+			matched, _ := e.shards[src].replay(wal.Record{Kind: wal.RecDelete, Key: mv.old, Row: mv.row})
+			if !matched && mv.old != mv.new {
+				a.mismatches++
 			}
 		}
 	}
+	return nil
 }
 
 // ReplayMismatches returns the number of WAL records whose row-identity
@@ -166,6 +190,13 @@ func (e *Engine) ReplayMismatches() int { return e.replayMismatches }
 type ReplicatedRecord struct {
 	Shard int
 	Rec   wal.Record
+}
+
+// sortByEpoch merges per-shard WAL tails into one epoch-ordered stream, in
+// place. Epoch stamps are non-decreasing within one shard's WAL (appends and
+// stamps share jmu), so a stable sort preserves per-shard append order.
+func sortByEpoch(recs []ReplicatedRecord) {
+	sort.SliceStable(recs, func(a, b int) bool { return recs[a].Rec.Epoch < recs[b].Rec.Epoch })
 }
 
 // Replicator applies a live replication stream to a follower engine. Create
@@ -195,16 +226,11 @@ const applyWindow = 8192
 // routed. It holds every gate stripe exclusively while applying (in bounded
 // windows), so View-consistent readers never observe a half-applied window,
 // and advances the engine's epoch oracle to the highest epoch applied.
-// Returns the number of records applied.
-func (r *Replicator) Apply(recs []ReplicatedRecord) int {
-	if len(recs) == 0 {
-		return 0
-	}
+// Returns the number of records applied; an error (an empty shard could not
+// be seeded from a record) stops the stream at the failing window.
+func (r *Replicator) Apply(recs []ReplicatedRecord) (int, error) {
 	e := r.e
-	// Epoch stamps are non-decreasing within one shard's WAL, so a stable
-	// sort preserves per-shard append order while merging the polled tails
-	// into one epoch-ordered stream (exactly recovery's merge).
-	sort.SliceStable(recs, func(a, b int) bool { return recs[a].Rec.Epoch < recs[b].Rec.Epoch })
+	sortByEpoch(recs)
 	applied := 0
 	for len(recs) > 0 {
 		window := recs
@@ -213,33 +239,33 @@ func (r *Replicator) Apply(recs []ReplicatedRecord) int {
 		}
 		recs = recs[len(window):]
 		e.lockAll()
+		var aerr error
 		for _, sr := range window {
-			if sr.Rec.Kind == wal.RecRebalance {
-				if len(sr.Rec.Bounds) > 0 && sr.Rec.Epoch > r.boundsEpoch {
-					if _, ok := e.loadPart().(*RangePartitioner); ok {
-						e.publishRoute(RangePartitionerFromBounds(sr.Rec.Bounds), emptyMoves)
-						r.boundsEpoch = sr.Rec.Epoch
-					}
+			if sr.Rec.Kind == wal.RecRebalance && len(sr.Rec.Bounds) > 0 && sr.Rec.Epoch > r.boundsEpoch {
+				if _, ok := e.loadPart().(*RangePartitioner); ok {
+					e.publishRoute(RangePartitionerFromBounds(sr.Rec.Bounds), emptyMoves)
+					r.boundsEpoch = sr.Rec.Epoch
 				}
-				if sr.Rec.Epoch > r.ap.maxEpoch {
-					r.ap.maxEpoch = sr.Rec.Epoch
-				}
-				continue
 			}
-			r.ap.apply(sr.Shard, sr.Rec)
+			if aerr = r.ap.apply(sr.Shard, sr.Rec); aerr != nil {
+				break
+			}
 		}
 		e.epoch.AdvanceTo(r.ap.maxEpoch)
 		if r.ap.maxMove > e.moveSeq.Load() {
 			e.moveSeq.Store(r.ap.maxMove)
 		}
 		e.unlockAll()
+		if aerr != nil {
+			return applied, aerr
+		}
 		applied += len(window)
 		// Replica metrics are ungated (see obs.Registry): lag and progress
 		// must be observable before any reader calls Enable.
 		e.obs.ReplicaRecordsApplied.Add(0, uint64(len(window)))
 		e.obs.ReplicaAppliedEpoch.Set(r.ap.maxEpoch)
 	}
-	return applied
+	return applied, nil
 }
 
 // Mismatches returns the count of records whose row-identity delete failed
@@ -279,68 +305,19 @@ func NewFollower(cfg Config) (*FollowerBoot, error) {
 	if man == nil {
 		return nil, fmt.Errorf("shard: no manifest in %s (nothing to follow)", cfg.Dir)
 	}
-	monCap := cfg.MonitorCap
-	if monCap <= 0 {
-		monCap = 8192
+	p, err := loadPersisted(cfg, man, &Engine{readonly: true})
+	if err != nil {
+		return nil, err
 	}
-	ep := cfg.Epoch
-	if ep == nil {
-		ep = txn.NewOracle()
+	if err := p.install(man); err != nil {
+		return nil, err
 	}
-	e := &Engine{
-		cfg: cfg.Table, epoch: ep,
-		keyLo: man.KeyLo, keyHi: man.KeyHi,
-		dir: cfg.Dir, readonly: true,
-	}
-	bounds := man.Bounds
-	var boundsEpoch uint64
-	var maxEpoch, maxMove uint64
 	fromSeqs := make([]uint64, man.Shards)
-	for i := 0; i < man.Shards; i++ {
-		s := &shard{idx: i, eng: e, cfg: cfg.Table, mon: newMonitor(monCap), ep: ep, sdir: shardDir(cfg.Dir, i)}
-		cp, _, err := wal.LoadNewestCheckpoint(s.sdir)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		if cp == nil {
-			return nil, fmt.Errorf("shard %d: no valid checkpoint in %s", i, s.sdir)
-		}
+	for i, cp := range p.cps {
 		fromSeqs[i] = cp.WALSeq
-		if cp.Epoch > maxEpoch {
-			maxEpoch = cp.Epoch
-		}
-		if cp.MoveHorizon > maxMove {
-			maxMove = cp.MoveHorizon
-		}
-		if man.ByRange && len(cp.Bounds) > 0 && cp.Epoch >= boundsEpoch {
-			bounds, boundsEpoch = cp.Bounds, cp.Epoch
-		}
-		if len(cp.Keys) > 0 {
-			tbl, err := table.NewFromRows(cp.Keys, cp.Rows, cfg.Table)
-			if err != nil {
-				return nil, fmt.Errorf("shard %d: checkpoint load: %w", i, err)
-			}
-			if err := tbl.RestoreLayouts(toTableLayouts(cp.Layouts)); err != nil {
-				return nil, fmt.Errorf("shard %d: %w", i, err)
-			}
-			s.tbl = tbl
-		}
-		e.shards = append(e.shards, s)
 	}
-	var part Partitioner
-	if man.ByRange {
-		part = RangePartitionerFromBounds(bounds)
-	} else {
-		part = NewHashPartitioner(man.Shards)
-	}
-	if part.Shards() != man.Shards {
-		return nil, fmt.Errorf("shard: follower bounds yield %d shards, manifest declares %d", part.Shards(), man.Shards)
-	}
-	e.initRoute(part)
-	ep.AdvanceTo(maxEpoch)
-	e.moveSeq.Store(maxMove)
-	e.obs.ReplicaAppliedEpoch.Set(maxEpoch)
-	return &FollowerBoot{Engine: e, FromSeqs: fromSeqs, BoundsEpoch: boundsEpoch}, nil
+	p.e.obs.ReplicaAppliedEpoch.Set(p.maxEpoch)
+	return &FollowerBoot{Engine: p.e, FromSeqs: fromSeqs, BoundsEpoch: p.boundsEpoch}, nil
 }
 
 // WALDir returns shard i's WAL directory under an engine directory — the

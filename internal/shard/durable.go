@@ -12,9 +12,10 @@ package shard
 //	    wal-00000002.log     segments >= the checkpoint's WALSeq are its tail
 //	  shard-001/ ...
 //
-// Writes log with row identity under each shard's jmu (see shard.run), so a
-// shard's WAL is a persistent twin of its retrain journal: replaying the
-// tail onto the checkpoint reproduces the live table byte-identically.
+// Writes log with row identity under each shard's jmu (see shard.run): the
+// WAL persists the very wal.Records a retrain journal would hold, and
+// replaying the tail onto the checkpoint through the shared applier
+// (applyRecord) reproduces the live table byte-identically.
 // Cross-shard moves log one MoveOut/MoveIn record pair inside the publish
 // window; recovery reconciles pairs whose halves straddle the crash so a row
 // is never restored on zero or two shards.
@@ -40,22 +41,17 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"casper/internal/obs"
 	"casper/internal/table"
-	"casper/internal/txn"
 	"casper/internal/wal"
 )
 
 // shardDir returns shard i's subdirectory under the engine directory.
 func shardDir(dir string, i int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%03d", i))
-}
-
-// walOptions maps engine config to WAL options.
-func walOptions(cfg Config) wal.Options {
-	return wal.Options{Policy: cfg.Sync, Interval: cfg.SyncEvery}
 }
 
 // openDurable opens a durable engine: recovery when dir holds a committed
@@ -85,7 +81,7 @@ func bootstrapDurable(keys []int64, cfg Config) (*Engine, error) {
 	}
 	e.durable = true
 	e.dir = cfg.Dir
-	e.wopts = walOptions(cfg)
+	e.wopts = wal.Options{Policy: cfg.Sync, Interval: cfg.SyncEvery}
 	for i, s := range e.shards {
 		s.sdir = shardDir(cfg.Dir, i)
 		// The manifest is the commit point, and it does not exist yet (its
@@ -120,19 +116,88 @@ func bootstrapDurable(keys []int64, cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// shardRecord is one WAL record tagged with its owning shard, for the
-// epoch-ordered global replay merge.
-type shardRecord struct {
-	shard int
-	rec   wal.Record
-}
-
 // moveTrace accumulates the observed halves of one cross-shard move during
 // replay, keyed by MoveID.
 type moveTrace struct {
 	out, in  bool
 	old, new int64
 	row      []int32
+}
+
+// persisted is what a committed engine directory yields before any WAL
+// record is applied: the engine skeleton with one shard per manifest entry,
+// each loaded from its newest valid checkpoint — rows, payloads AND trained
+// layouts, so no solver run is needed — plus the checkpoints' verdict on the
+// epoch, the move-ID horizon and the newest boundary set. Crash recovery
+// replays the WAL tails on top of it; a follower tails them live.
+type persisted struct {
+	e                 *Engine
+	cps               []*wal.Checkpoint // per shard
+	bounds            []int64           // boundary set carried by the highest epoch so far
+	boundsEpoch       uint64
+	maxEpoch, maxMove uint64
+}
+
+// loadPersisted reads the manifest's shards from their newest checkpoints.
+// It only reads: nothing under cfg.Dir is created, truncated or deleted, so
+// it is safe against a directory a live leader is writing.
+func loadPersisted(cfg Config, man *wal.Manifest, e *Engine) (*persisted, error) {
+	cfg = cfg.withDefaults()
+	e.cfg, e.epoch, e.dir = cfg.Table, cfg.Epoch, cfg.Dir
+	e.keyLo, e.keyHi = man.KeyLo, man.KeyHi
+	p := &persisted{e: e, bounds: man.Bounds}
+	for i := 0; i < man.Shards; i++ {
+		s := newShard(i, e, cfg)
+		s.sdir = shardDir(cfg.Dir, i)
+		cp, cseq, err := wal.LoadNewestCheckpoint(s.sdir)
+		if err != nil {
+			return nil, fmt.Errorf("shard %d: %w", i, err)
+		}
+		if cp == nil {
+			// Bootstrap writes a checkpoint for every shard before the
+			// manifest commits, so a manifest without one means corruption
+			// or deletion; loading the shard as empty would silently drop
+			// its pre-checkpoint rows (they were never in the WAL).
+			return nil, fmt.Errorf("shard %d: no valid checkpoint in %s", i, s.sdir)
+		}
+		s.nextCkpt = cseq + 1
+		p.maxEpoch = max(p.maxEpoch, cp.Epoch)
+		p.maxMove = max(p.maxMove, cp.MoveHorizon)
+		if man.ByRange && len(cp.Bounds) > 0 && cp.Epoch >= p.boundsEpoch {
+			p.bounds, p.boundsEpoch = cp.Bounds, cp.Epoch
+		}
+		if len(cp.Keys) > 0 {
+			tbl, err := table.NewFromRows(cp.Keys, cp.Rows, cfg.Table)
+			if err != nil {
+				return nil, fmt.Errorf("shard %d: checkpoint load: %w", i, err)
+			}
+			if err := tbl.RestoreLayouts(toTableLayouts(cp.Layouts)); err != nil {
+				return nil, fmt.Errorf("shard %d: %w", i, err)
+			}
+			s.tbl = tbl
+		}
+		p.cps = append(p.cps, cp)
+		e.shards = append(e.shards, s)
+	}
+	return p, nil
+}
+
+// install routes the engine by the resolved boundary set and restores the
+// epoch oracle and move-ID counter past everything observed.
+func (p *persisted) install(man *wal.Manifest) error {
+	var part Partitioner
+	if man.ByRange {
+		part = RangePartitionerFromBounds(p.bounds)
+	} else {
+		part = NewHashPartitioner(man.Shards)
+	}
+	if part.Shards() != man.Shards {
+		return fmt.Errorf("shard: persisted bounds yield %d shards, manifest declares %d", part.Shards(), man.Shards)
+	}
+	p.e.initRoute(part)
+	p.e.epoch.AdvanceTo(p.maxEpoch)
+	p.e.moveSeq.Store(p.maxMove)
+	return nil
 }
 
 // recoverDurable rebuilds the engine from dir: newest valid checkpoint per
@@ -149,116 +214,54 @@ type moveTrace struct {
 // whatever interleaving the crash cut, the engine lands on exactly one
 // consistent boundary set with every row on exactly one, correct shard.
 func recoverDurable(cfg Config, man *wal.Manifest) (*Engine, error) {
-	monCap := cfg.MonitorCap
-	if monCap <= 0 {
-		monCap = 8192
+	e := &Engine{durable: true, wopts: wal.Options{Policy: cfg.Sync, Interval: cfg.SyncEvery}}
+	p, err := loadPersisted(cfg, man, e)
+	if err != nil {
+		return nil, err
 	}
-	ep := cfg.Epoch
-	if ep == nil {
-		ep = txn.NewOracle()
-	}
-	e := &Engine{
-		cfg: cfg.Table, epoch: ep,
-		keyLo: man.KeyLo, keyHi: man.KeyHi,
-		durable: true, dir: cfg.Dir, wopts: walOptions(cfg),
-	}
-	bounds := man.Bounds // boundary set carried by the highest epoch so far
-	var boundsEpoch uint64
-
-	var all []shardRecord
-	var maxEpoch, maxMove uint64
+	var all []ReplicatedRecord
 	horizons := make([]uint64, man.Shards) // per-shard checkpoint move horizon
 	newSeqs := make([]uint64, man.Shards)  // fresh WAL segment per shard
-	for i := 0; i < man.Shards; i++ {
-		s := &shard{idx: i, eng: e, cfg: cfg.Table, mon: newMonitor(monCap), ep: ep, sdir: shardDir(cfg.Dir, i)}
-		if err := os.MkdirAll(s.sdir, 0o755); err != nil {
-			return nil, fmt.Errorf("shard: creating %s: %w", s.sdir, err)
-		}
-		cp, cseq, err := wal.LoadNewestCheckpoint(s.sdir)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		if cp == nil {
-			// Bootstrap writes a checkpoint for every shard before the
-			// manifest commits, so a manifest without one means corruption
-			// or deletion; recovering the shard as empty would silently
-			// drop its pre-checkpoint rows (they were never in the WAL).
-			return nil, fmt.Errorf("shard %d: no valid checkpoint in %s", i, s.sdir)
-		}
-		fromSeq := cp.WALSeq
-		horizons[i] = cp.MoveHorizon
-		if cp.Epoch > maxEpoch {
-			maxEpoch = cp.Epoch
-		}
-		if cp.MoveHorizon > maxMove {
-			maxMove = cp.MoveHorizon
-		}
-		if man.ByRange && len(cp.Bounds) > 0 && cp.Epoch >= boundsEpoch {
-			bounds, boundsEpoch = cp.Bounds, cp.Epoch
-		}
-		if len(cp.Keys) > 0 {
-			tbl, err := table.NewFromRows(cp.Keys, cp.Rows, cfg.Table)
-			if err != nil {
-				return nil, fmt.Errorf("shard %d: checkpoint load: %w", i, err)
-			}
-			if err := tbl.RestoreLayouts(toTableLayouts(cp.Layouts)); err != nil {
-				return nil, fmt.Errorf("shard %d: %w", i, err)
-			}
-			s.tbl = tbl
-		}
+	for i, s := range e.shards {
+		horizons[i] = p.cps[i].MoveHorizon
+		fromSeq := p.cps[i].WALSeq
 		recs, lastSeq, err := wal.ReplaySegments(s.sdir, fromSeq)
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
 		for _, r := range recs {
-			all = append(all, shardRecord{shard: i, rec: r})
-			if r.Epoch > maxEpoch {
-				maxEpoch = r.Epoch
-			}
-			if r.MoveID > maxMove {
-				maxMove = r.MoveID
-			}
-			if r.Kind == wal.RecRebalance && man.ByRange && len(r.Bounds) > 0 && r.Epoch >= boundsEpoch {
-				bounds, boundsEpoch = r.Bounds, r.Epoch
+			all = append(all, ReplicatedRecord{Shard: i, Rec: r})
+			if r.Kind == wal.RecRebalance && man.ByRange && len(r.Bounds) > 0 && r.Epoch >= p.boundsEpoch {
+				p.bounds, p.boundsEpoch = r.Bounds, r.Epoch
 			}
 		}
-		newSeqs[i] = lastSeq + 1
-		if newSeqs[i] < fromSeq {
-			newSeqs[i] = fromSeq
-		}
-		s.nextCkpt = cseq + 1
-		e.shards = append(e.shards, s)
+		newSeqs[i] = max(lastSeq+1, fromSeq)
 	}
 
 	// Install the resolved partitioner before replay: replay itself applies
 	// records by the WAL file they came from (placement history, not
 	// routing), but move reconciliation and the re-homing sweep below route
 	// by it.
-	var part Partitioner
-	if man.ByRange {
-		part = RangePartitionerFromBounds(bounds)
-	} else {
-		part = NewHashPartitioner(man.Shards)
+	if err := p.install(man); err != nil {
+		return nil, err
 	}
-	if part.Shards() != man.Shards {
-		return nil, fmt.Errorf("shard: recovered bounds yield %d shards, manifest declares %d", part.Shards(), man.Shards)
-	}
-	e.initRoute(part)
-
-	// Epoch stamps are non-decreasing within one shard's WAL (appends and
-	// stamps share jmu), so a stable sort preserves per-shard append order
-	// while merging the tails into one epoch-ordered global replay.
-	sort.SliceStable(all, func(a, b int) bool { return all[a].rec.Epoch < all[b].rec.Epoch })
-	ap := &applier{e: e, moves: make(map[uint64]*moveTrace)}
+	sortByEpoch(all)
+	ap := &applier{e: e, moves: make(map[uint64]*moveTrace), maxEpoch: p.maxEpoch, maxMove: p.maxMove}
 	for _, sr := range all {
-		ap.apply(sr.shard, sr.rec)
+		if err := ap.apply(sr.Shard, sr.Rec); err != nil {
+			return nil, err
+		}
 	}
-	ap.reconcile(horizons)
-	e.rehomeRecovered()
+	if err := ap.reconcile(horizons); err != nil {
+		return nil, err
+	}
+	if err := e.rehomeRecovered(); err != nil {
+		return nil, err
+	}
 	e.replayMismatches = ap.mismatches
 
-	ep.AdvanceTo(maxEpoch)
-	e.moveSeq.Store(maxMove)
+	e.epoch.AdvanceTo(ap.maxEpoch)
+	e.moveSeq.Store(ap.maxMove)
 	for i, s := range e.shards {
 		opts := e.wopts
 		opts.Obs, opts.ObsShard = e.obs, i
@@ -273,7 +276,7 @@ func recoverDurable(cfg Config, man *wal.Manifest) (*Engine, error) {
 	// came up. A non-zero mismatch count means some records named rows this
 	// replay timeline never produced — the image silently diverged from the
 	// WAL; ReplayMismatches exposes the same count programmatically.
-	e.obs.Event(obs.Event{Kind: obs.EvRecoveryReplay, Shard: -1, Epoch: maxEpoch, Rows: len(all),
+	e.obs.Event(obs.Event{Kind: obs.EvRecoveryReplay, Shard: -1, Epoch: ap.maxEpoch, Rows: len(all),
 		Note: fmt.Sprintf("%d shards, %d move traces reconciled, %d replay mismatches",
 			man.Shards, len(ap.moves), ap.mismatches)})
 	return e, nil
@@ -288,17 +291,6 @@ func toTableLayouts(in []wal.ChunkLayout) []table.ChunkLayout {
 	return out
 }
 
-// seedRecovered builds the shard's table from the first recovered row; the
-// recovery-time counterpart of shard.seed (single-threaded, no locks, no
-// WAL — the row came from the WAL).
-func (s *shard) seedRecovered(key int64, row []int32) {
-	tbl, err := table.NewFromRows([]int64{key}, [][]int32{row}, s.cfg)
-	if err != nil {
-		panic(fmt.Sprintf("shard: recovery seeding one-row table: %v", err))
-	}
-	s.tbl = tbl
-}
-
 // rehomeRecovered moves every recovered row onto the shard that owns its key
 // under the resolved partitioner — the universal repair for crashes that
 // split a rebalance's bulk moves from its boundary record. Whichever side of
@@ -306,9 +298,9 @@ func (s *shard) seedRecovered(key int64, row []int32) {
 // agree with them; it is a no-op on hash-partitioned engines and on any
 // crash image whose moves and bounds survived together. Single-threaded
 // recovery context: no locks.
-func (e *Engine) rehomeRecovered() {
+func (e *Engine) rehomeRecovered() error {
 	if _, ok := e.loadPart().(*RangePartitioner); !ok {
-		return
+		return nil
 	}
 	p := e.loadPart()
 	for i, s := range e.shards {
@@ -326,13 +318,12 @@ func (e *Engine) rehomeRecovered() {
 			if err != nil {
 				continue
 			}
-			if d := e.shards[p.Shard(k)]; d.tbl == nil {
-				d.seedRecovered(k, row)
-			} else {
-				d.tbl.InsertRow(k, row)
+			if _, err := e.shards[p.Shard(k)].replay(wal.Record{Kind: wal.RecInsertRow, Key: k, Row: row}); err != nil {
+				return fmt.Errorf("shard %d: %w", p.Shard(k), err)
 			}
 		}
 	}
+	return nil
 }
 
 // rewriteManifest atomically re-persists the engine topology; called after a
@@ -482,13 +473,7 @@ func fromTableLayouts(in []table.ChunkLayout) []wal.ChunkLayout {
 // insertSorted splices (key, row) into keys-ascending parallel slices.
 func insertSorted(keys []int64, rows [][]int32, key int64, row []int32) ([]int64, [][]int32) {
 	i := sort.Search(len(keys), func(i int) bool { return keys[i] > key })
-	keys = append(keys, 0)
-	copy(keys[i+1:], keys[i:])
-	keys[i] = key
-	rows = append(rows, nil)
-	copy(rows[i+1:], rows[i:])
-	rows[i] = row
-	return keys, rows
+	return slices.Insert(keys, i, key), slices.Insert(rows, i, row)
 }
 
 // SyncWAL forces every shard's WAL to stable storage regardless of the sync

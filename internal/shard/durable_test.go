@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -475,7 +476,7 @@ func runKillReplayRebalance(t *testing.T, rebalance func(*Engine) (RebalanceResu
 			t.Fatalf("%s: recovered %d rows, twin has %d (or payloads diverged)", label, len(got), len(want))
 		}
 		got := re.Partitioner().(*RangePartitioner).Bounds()
-		if !boundsEqual(got, oldBounds) && !boundsEqual(got, newBounds) {
+		if !slices.Equal(got, oldBounds) && !slices.Equal(got, newBounds) {
 			t.Fatalf("%s: recovered bounds %v are neither old %v nor new %v", label, got, oldBounds, newBounds)
 		}
 		assertPlacement(t, re)
@@ -486,7 +487,7 @@ func runKillReplayRebalance(t *testing.T, rebalance func(*Engine) (RebalanceResu
 	// new bounds from the WAL tails despite the stale manifest.
 	assertRecovered(stagedImg, "mid-staging image")
 	reB := assertRecovered(preManifest, "pre-manifest image")
-	if got := reB.Partitioner().(*RangePartitioner).Bounds(); !boundsEqual(got, newBounds) {
+	if got := reB.Partitioner().(*RangePartitioner).Bounds(); !slices.Equal(got, newBounds) {
 		t.Fatalf("pre-manifest image: bounds %v, want the WAL-carried new bounds %v", got, newBounds)
 	}
 
@@ -515,7 +516,7 @@ func runKillReplayRebalance(t *testing.T, rebalance func(*Engine) (RebalanceResu
 
 	// The completed live directory (manifest + checkpoint in place).
 	reF := assertRecovered(dir, "completed rebalance")
-	if got := reF.Partitioner().(*RangePartitioner).Bounds(); !boundsEqual(got, newBounds) {
+	if got := reF.Partitioner().(*RangePartitioner).Bounds(); !slices.Equal(got, newBounds) {
 		t.Fatalf("completed image: bounds %v, want %v", got, newBounds)
 	}
 	if reF.Skew() >= 1.5 && e.Skew() < 1.5 {

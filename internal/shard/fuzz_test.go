@@ -11,6 +11,7 @@ package shard
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -97,7 +98,7 @@ func FuzzRangePartitionerFromBounds(f *testing.F) {
 		}
 
 		// Idempotence: a sanitized set round-trips unchanged.
-		if again := RangePartitionerFromBounds(got).Bounds(); !boundsEqual(again, got) {
+		if again := RangePartitionerFromBounds(got).Bounds(); !slices.Equal(again, got) {
 			t.Fatalf("sanitize not idempotent: %v -> %v", got, again)
 		}
 	})
@@ -155,7 +156,7 @@ func FuzzProposeMinimalBounds(f *testing.F) {
 		}
 
 		regions := repairRegions(pre, effectiveMaxSkew(maxSkew))
-		if len(regions) == 0 && !boundsEqual(got, old) {
+		if len(regions) == 0 && !slices.Equal(got, old) {
 			t.Fatalf("no shard breaches yet bounds changed: %v -> %v", old, got)
 		}
 		inRegion := make([]bool, len(old))

@@ -13,6 +13,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -99,7 +100,7 @@ func TestProposeMinimalBounds(t *testing.T) {
 		keys := uniform(8_000, 100_000, 3)
 		old := proposeBounds(keys, 4)
 		got := ProposeMinimalBounds(keys, old, 1.5)
-		if !boundsEqual(got, old) {
+		if !slices.Equal(got, old) {
 			t.Fatalf("balanced fleet proposed new bounds: %v -> %v", old, got)
 		}
 	})
@@ -112,7 +113,7 @@ func TestProposeMinimalBounds(t *testing.T) {
 			keys[i] += 100_001 // the tail drifts past the loaded domain
 		}
 		got := ProposeMinimalBounds(keys, old, 1.5)
-		if boundsEqual(got, old) {
+		if slices.Equal(got, old) {
 			t.Fatalf("drifted tail proposed no change (bounds %v)", old)
 		}
 		if got[0] != old[0] || got[1] != old[1] {
@@ -141,7 +142,7 @@ func TestProposeMinimalBounds(t *testing.T) {
 		}
 		keys := append(append([]int64(nil), base...), hot...)
 		got := ProposeMinimalBounds(keys, old, 1.5)
-		if boundsEqual(got, old) {
+		if slices.Equal(got, old) {
 			t.Fatal("interior hotspot proposed no change")
 		}
 		if got[3] != old[3] {
@@ -156,13 +157,13 @@ func TestProposeMinimalBounds(t *testing.T) {
 		}
 		old := []int64{1, 2, 3}
 		got := ProposeMinimalBounds(keys, old, 1.5)
-		if !boundsEqual(got, old) {
+		if !slices.Equal(got, old) {
 			t.Fatalf("unsplittable duplicates proposed movement: %v -> %v", old, got)
 		}
 	})
 
 	t.Run("empty keys and single shard", func(t *testing.T) {
-		if got := ProposeMinimalBounds(nil, []int64{5, 9}, 1.5); !boundsEqual(got, []int64{5, 9}) {
+		if got := ProposeMinimalBounds(nil, []int64{5, 9}, 1.5); !slices.Equal(got, []int64{5, 9}) {
 			t.Fatalf("empty keys proposed %v", got)
 		}
 		if got := ProposeMinimalBounds([]int64{1, 2, 3}, nil, 1.5); len(got) != 0 {

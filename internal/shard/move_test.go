@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"casper/internal/table"
+	"casper/internal/wal"
 )
 
 func moveTestConfig() table.Config {
@@ -194,19 +195,19 @@ func TestJournalRowIdentityReplay(t *testing.T) {
 		t.Fatalf("journal holds %d ops, want 2", len(s.journal))
 	}
 	del := s.journal[0]
-	if del.kind != jDelete || del.key != 10 {
+	if del.Kind != wal.RecDelete || del.Key != 10 {
 		s.jmu.Unlock()
-		t.Fatalf("journal[0] = kind %d key %d, want jDelete of 10", del.kind, del.key)
+		t.Fatalf("journal[0] = kind %d key %d, want RecDelete of 10", del.Kind, del.Key)
 	}
-	removed := append([]int32(nil), del.row...)
+	removed := append([]int32(nil), del.Row...)
 	if len(removed) != 4 {
 		s.jmu.Unlock()
 		t.Fatalf("journaled delete carries %d payload cols, want 4", len(removed))
 	}
 	for i := 1; i < len(s.journal); i++ {
-		if s.journal[i].epoch < s.journal[i-1].epoch {
+		if s.journal[i].Epoch < s.journal[i-1].Epoch {
 			s.jmu.Unlock()
-			t.Fatalf("journal epochs regress: %d after %d", s.journal[i].epoch, s.journal[i-1].epoch)
+			t.Fatalf("journal epochs regress: %d after %d", s.journal[i].Epoch, s.journal[i-1].Epoch)
 		}
 	}
 	s.jmu.Unlock()
@@ -246,5 +247,49 @@ func TestJournalRowIdentityReplay(t *testing.T) {
 	}
 	if got := e.Len(); got != 2 {
 		t.Fatalf("after swap: Len = %d, want 2", got)
+	}
+}
+
+// TestMonitorSessionSharesTheRetrainerWindows: an explicit StartMonitor
+// session and the background retrainer are two references on one op-log, so
+// stopping either leaves the other recording; the session restarts the
+// windows and StopMonitor is idempotent.
+func TestMonitorSessionSharesTheRetrainerWindows(t *testing.T) {
+	keys := make([]int64, 400)
+	for i := range keys {
+		keys[i] = int64(i)
+	}
+	e, err := New(keys, Config{Shards: 2, Table: moveTestConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.monitoring() || e.Monitored() != nil {
+		t.Fatal("recording before any consumer asked for it")
+	}
+	if err := e.StartAutoRetrain(RetrainPolicy{CheckEvery: time.Hour}); err != nil {
+		t.Fatal(err)
+	}
+	e.PointQuery(1)
+	if e.Monitored() != nil {
+		t.Fatal("retrainer alone must not look like an explicit session")
+	}
+	e.StartMonitor(64)
+	e.StartMonitor(64) // idempotent: still one reference
+	e.PointQuery(2)
+	if got := len(e.Monitored()); got != 1 {
+		t.Fatalf("session holds %d ops, want 1 (windows restart at StartMonitor)", got)
+	}
+	if got := len(e.StopMonitor()); got != 1 {
+		t.Fatalf("StopMonitor returned %d ops, want 1", got)
+	}
+	if e.StopMonitor() != nil {
+		t.Fatal("second StopMonitor returned ops")
+	}
+	if !e.monitoring() {
+		t.Fatal("stopping the session stopped the retrainer's recording")
+	}
+	e.StopAutoRetrain()
+	if e.monitoring() {
+		t.Fatalf("recording still on with no consumer (monOn = %d)", e.monOn.Load())
 	}
 }

@@ -30,7 +30,9 @@ package shard
 // set (durable.go).
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"casper/internal/obs"
@@ -263,18 +265,6 @@ func changedBounds(a, b []int64) int {
 	return n
 }
 
-func boundsEqual(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // rebalanceLocked runs the stage → publish → install protocol onto newBounds;
 // caller holds rebalanceMu and has validated that the engine is
 // range-partitioned.
@@ -284,7 +274,7 @@ func (e *Engine) rebalanceLocked(newBounds []int64) (RebalanceResult, error) {
 		NewBounds: newBounds,
 	}
 	res.SkewBefore = skewOf(e.RowCounts())
-	if boundsEqual(res.OldBounds, newBounds) {
+	if slices.Equal(res.OldBounds, newBounds) {
 		res.SkewAfter = res.SkewBefore
 		return res, nil
 	}
@@ -334,16 +324,16 @@ func (e *Engine) rebalanceLocked(newBounds []int64) (RebalanceResult, error) {
 			e.lockAll()
 			var batchMoves []*pendingMove
 			for _, k := range batch {
-				j := &journalOp{kind: jDelete, key: k, skipWAL: true}
-				err, _ := s.run(j, func(t *table.Table, _ bool) error {
+				take := &wal.Record{Kind: wal.RecDelete, Key: k}
+				err, _ := s.run(take, true, func(t *table.Table, _ bool) error {
 					row, terr := t.TakeRow(k)
-					j.row = row
+					take.Row = row
 					return terr
 				})
 				if err != nil {
 					continue // deleted since the listing; nothing to move
 				}
-				m := &pendingMove{old: k, new: k, row: j.row}
+				m := &pendingMove{old: k, new: k, row: take.Row}
 				batchMoves = append(batchMoves, m)
 				staged = append(staged, m)
 				srcOf[m] = i
@@ -412,10 +402,24 @@ func (e *Engine) rebalanceLocked(newBounds []int64) (RebalanceResult, error) {
 		s.mu.Lock()
 	}
 	moved := make([]movedRow, 0, len(staged))
+	// place lands one migrated row on its new owner. A destination that
+	// cannot take the row (an empty shard whose one-row table will not
+	// build — not reachable with rows taken from tables of this engine's
+	// own config) is reported, not panicked on: the row returns to the shard
+	// it left, where recovery's re-homing sweep will find it, and the
+	// install carries on for every other row.
+	var placeErr error
+	place := func(src, dst int, key int64, row []int32) {
+		if err := e.placeLocked(dst, key, row); err != nil {
+			placeErr = errors.Join(placeErr,
+				fmt.Errorf("shard: rebalance: key %d stays on shard %d: %w", key, src, err),
+				e.placeLocked(src, key, row)) // cannot fail: src's table exists, the row was taken from it
+			return
+		}
+		moved = append(moved, movedRow{src: src, dst: dst, key: key, row: row})
+	}
 	for _, m := range staged {
-		dst := newPart.Shard(m.old)
-		e.placeLocked(dst, m.old, m.row)
-		moved = append(moved, movedRow{src: srcOf[m], dst: dst, key: m.old, row: m.row})
+		place(srcOf[m], newPart.Shard(m.old), m.old, m.row)
 	}
 	// Straggler rescan, bounded to the ownership delta: a write that slipped
 	// in between the staging batches landed under the old routing, so if its
@@ -458,10 +462,8 @@ func (e *Engine) rebalanceLocked(newBounds []int64) (RebalanceResult, error) {
 			if err != nil {
 				continue
 			}
-			s.journalLocked(journalOp{kind: jDelete, key: k, row: row})
-			dst := newPart.Shard(k)
-			e.placeLocked(dst, k, row)
-			moved = append(moved, movedRow{src: i, dst: dst, key: k, row: row})
+			s.journalLocked(wal.Record{Kind: wal.RecDelete, Key: k, Row: row})
+			place(i, newPart.Shard(k), k, row)
 			res.Stragglers++
 		}
 	}
@@ -477,19 +479,8 @@ func (e *Engine) rebalanceLocked(newBounds []int64) (RebalanceResult, error) {
 		// would replay them in that inverted order and resurrect the row.
 		// Only the fsyncs (Commit) happen after the locks drop.
 		for _, mv := range moved {
-			id := e.moveSeq.Add(1)
-			rec := wal.Record{Epoch: pub, MoveID: id, Key: mv.key, Key2: mv.key, Row: mv.row}
-			src, dst := e.shards[mv.src], e.shards[mv.dst]
-			src.jmu.Lock()
-			rec.Kind = wal.RecMoveOut
-			lsn, _ := src.log.Append(rec)
-			src.jmu.Unlock()
-			commits[src] = lsn
-			dst.jmu.Lock()
-			rec.Kind = wal.RecMoveIn
-			lsn, _ = dst.log.Append(rec)
-			dst.jmu.Unlock()
-			commits[dst] = lsn
+			commits[e.shards[mv.src]], commits[e.shards[mv.dst]] = e.appendMovePair(mv.src, mv.dst,
+				wal.Record{Epoch: pub, Key: mv.key, Key2: mv.key, Row: mv.row})
 		}
 		brec := wal.Record{Kind: wal.RecRebalance, Epoch: pub, Bounds: newBounds}
 		for _, s := range e.shards {
@@ -526,7 +517,7 @@ func (e *Engine) rebalanceLocked(newBounds []int64) (RebalanceResult, error) {
 	e.obs.Event(obs.Event{Kind: obs.EvRebalanceInstall, Shard: -1, Epoch: pub, DurNs: res.Pause.Nanoseconds(),
 		Note: fmt.Sprintf("%d bounds installed", len(newBounds))})
 
-	var werr error
+	werr := placeErr
 	if e.durable {
 		for i, s := range e.shards {
 			if lsn, ok := commits[s]; ok {
@@ -553,32 +544,27 @@ func (e *Engine) rebalanceLocked(newBounds []int64) (RebalanceResult, error) {
 	return res, werr
 }
 
-// placeLocked inserts a migrated row into shard dst, seeding its table when
-// empty and journaling the insert for an in-flight shadow retrain; caller
+// placeLocked inserts a migrated row into shard dst (seeding its table when
+// empty) and journals the insert for an in-flight shadow retrain; caller
 // holds every shard's swap lock exclusively (publish window).
-func (e *Engine) placeLocked(dst int, key int64, row []int32) {
-	d := e.shards[dst]
-	if d.tbl == nil {
-		tbl, err := table.NewFromRows([]int64{key}, [][]int32{row}, d.cfg)
-		if err != nil {
-			panic(fmt.Sprintf("shard: rebalance seeding one-row table: %v", err))
-		}
-		d.tbl = tbl
-	} else {
-		d.tbl.InsertRow(key, row)
+func (e *Engine) placeLocked(dst int, key int64, row []int32) error {
+	r := wal.Record{Kind: wal.RecInsertRow, Key: key, Row: row}
+	if _, err := e.shards[dst].replay(r); err != nil {
+		return err
 	}
-	d.journalLocked(journalOp{kind: jInsertRow, key: key, row: row})
+	e.shards[dst].journalLocked(r)
+	return nil
 }
 
-// journalLocked appends j to the retrain journal when a shadow retrain is in
+// journalLocked appends r to the retrain journal when a shadow retrain is in
 // flight; caller holds s.mu exclusively (the journaling flag is stable).
-func (s *shard) journalLocked(j journalOp) {
+func (s *shard) journalLocked(r wal.Record) {
 	if !s.journaling {
 		return
 	}
-	j.epoch = s.ep.Now()
+	r.Epoch = s.ep.Now()
 	s.jmu.Lock()
-	s.journal = append(s.journal, j)
+	s.journal = append(s.journal, r)
 	s.jmu.Unlock()
 }
 

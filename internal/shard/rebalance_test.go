@@ -10,6 +10,7 @@ package shard
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -525,7 +526,7 @@ func TestRebalanceWaitsForStagedMove(t *testing.T) {
 	if na, nb := e.PointQuery(a), e.PointQuery(b); na != 0 || nb != 1 {
 		t.Fatalf("after move+rebalance: counts (%d,%d), want (0,1)", na, nb)
 	}
-	if !boundsEqual(e.loadPart().(*RangePartitioner).Bounds(), shifted) {
+	if !slices.Equal(e.loadPart().(*RangePartitioner).Bounds(), shifted) {
 		t.Fatal("rebalance did not install the requested bounds")
 	}
 	assertPlacement(t, e)

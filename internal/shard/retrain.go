@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -28,10 +29,6 @@ type monitor struct {
 	baseline   [driftBuckets]float64
 	hasBase    bool
 	sinceTrain int
-}
-
-func newMonitor(cap int) *monitor {
-	return &monitor{cap: cap}
 }
 
 // record appends one operation to the window and its key bucket to the
@@ -78,16 +75,9 @@ func tvDistance(a, b [driftBuckets]float64) float64 {
 	}
 	var d float64
 	for i := range a {
-		d += abs(a[i]/sa - b[i]/sb)
+		d += math.Abs(a[i]/sa - b[i]/sb)
 	}
 	return d / 2
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // sample snapshots the window for training without touching drift state, so
@@ -98,6 +88,17 @@ func (m *monitor) sample() []workload.Op {
 	out := make([]workload.Op, len(m.ops))
 	copy(out, m.ops)
 	return out
+}
+
+// restart empties the window for a fresh explicit monitoring session,
+// re-sizing it when cap > 0; drift state is untouched.
+func (m *monitor) restart(cap int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if cap > 0 {
+		m.cap = cap
+	}
+	m.ops = m.ops[:0]
 }
 
 // rebase re-bases the drift baseline on the current histogram; called after
@@ -126,6 +127,71 @@ func (m *monitor) rebaseToSample(sample []workload.Op, bucketOf func(int64) int)
 	m.baseline = base
 	m.hasBase = true
 	m.sinceTrain = 0
+}
+
+// StartMonitor begins an explicit monitoring session over the per-shard
+// windows the background retrainer also samples: the windows restart empty
+// (capacity > 0 re-sizes each shard's window) and every operation the engine
+// serves is recorded until StopMonitor. There is one op-log per shard, not a
+// second engine-wide ring, so the session costs the unmonitored hot path
+// nothing beyond the monOn load it already pays.
+func (e *Engine) StartMonitor(capacity int) {
+	for _, s := range e.shards {
+		s.mon.restart(capacity)
+	}
+	if e.userMon.CompareAndSwap(false, true) {
+		e.monOn.Add(1)
+	}
+}
+
+// StopMonitor ends the explicit session and returns what it captured (nil
+// when none was active).
+func (e *Engine) StopMonitor() []workload.Op {
+	ops := e.Monitored()
+	if e.userMon.CompareAndSwap(true, false) {
+		e.monOn.Add(-1)
+	}
+	return ops
+}
+
+// Monitored returns the operations the explicit monitoring session currently
+// holds, shard by shard in recording order; nil when no session is active.
+// An operation touching several shards sits in each one's window (that is
+// what trains them) but is reported once, from the shard owning its key.
+func (e *Engine) Monitored() []workload.Op {
+	if !e.userMon.Load() {
+		return nil
+	}
+	p := e.loadPart()
+	var out []workload.Op
+	for i, s := range e.shards {
+		for _, op := range s.mon.sample() {
+			if p.Shard(op.Key) == i {
+				out = append(out, op)
+			}
+		}
+	}
+	return out
+}
+
+// Retrain re-solves every shard's layout in place from its own monitor
+// window — a foreground re-partitioning cycle over the explicit session
+// (the background retrainer does the same per drifted shard, on a shadow).
+// The session keeps recording.
+func (e *Engine) Retrain(parallelism int) error {
+	if !e.userMon.Load() {
+		return fmt.Errorf("shard: Retrain requires an active monitor (call StartMonitor)")
+	}
+	per := make([][]workload.Op, len(e.shards))
+	total := 0
+	for i, s := range e.shards {
+		per[i] = s.mon.sample()
+		total += len(per[i])
+	}
+	if total == 0 {
+		return fmt.Errorf("shard: no monitored operations to retrain from")
+	}
+	return e.trainShards(per, parallelism)
 }
 
 // RetrainPolicy tunes the background retrainer.
@@ -233,13 +299,15 @@ func (e *Engine) retrainLoop(p RetrainPolicy, stop <-chan struct{}, done chan<- 
 
 // RetrainShard re-solves shard i's layout for the sample on a shadow copy
 // and swaps the shadow in. Writes that land during training are journaled
-// against the outgoing table and replayed onto the shadow before the swap,
-// so no mutation is lost; readers keep scanning the outgoing table and never
-// observe an intermediate layout. Replay is byte-identical: journaled
-// deletes and updates carry the payload of the row the live table actually
-// touched, so with duplicate keys the shadow drops the same duplicate, and
-// the halves of a cross-shard move journal into their shards with the epoch
-// order the commit protocol established.
+// as wal.Records against the outgoing table and replayed onto the shadow
+// through applyRecord before the swap — the same applier recovery and
+// followers use — so no mutation is lost; readers keep scanning the outgoing
+// table and never observe an intermediate layout. Replay is byte-identical:
+// journaled deletes and updates carry the payload of the row the live table
+// actually touched, so with duplicate keys the shadow drops the same
+// duplicate, and the halves of a cross-shard move journal into their shards
+// with the epoch order the commit protocol established. Replay mismatches
+// are counted into the retrain.swap event's note.
 func (e *Engine) RetrainShard(i int, sample []workload.Op, parallelism int) error {
 	return e.retrainShard(i, func(shadow *table.Table) error {
 		return shadow.TrainLayout(sample, parallelism)
@@ -301,11 +369,17 @@ func (e *Engine) retrainShard(i int, train func(*table.Table) error) error {
 		return fmt.Errorf("shard %d: shadow train: %w", i, err)
 	}
 
-	// Swap: drain the journal onto the shadow, then publish it.
+	// Swap: drain the journal onto the shadow through the shared applier,
+	// then publish it. A mismatch (a journaled removal naming a row the
+	// shadow does not hold) means the shadow diverged from the live table;
+	// like recovery, the swap counts and surfaces it rather than aborting.
 	s.mu.Lock()
 	s.jmu.Lock()
-	for _, j := range s.journal {
-		j.applyTo(shadow)
+	replayed, mismatches := len(s.journal), 0
+	for _, r := range s.journal {
+		if !applyRecord(shadow, r) {
+			mismatches++
+		}
 	}
 	s.journaling = false
 	s.journal = nil
@@ -317,7 +391,8 @@ func (e *Engine) retrainShard(i int, train func(*table.Table) error) error {
 	if e.obs.Enabled() {
 		e.obs.RetrainNs.Observe(i, dur.Nanoseconds())
 	}
-	e.obs.Event(obs.Event{Kind: obs.EvRetrainSwap, Shard: i, Rows: len(keys), DurNs: dur.Nanoseconds()})
+	e.obs.Event(obs.Event{Kind: obs.EvRetrainSwap, Shard: i, Rows: len(keys), DurNs: dur.Nanoseconds(),
+		Note: fmt.Sprintf("%d journal records replayed, %d replay mismatches", replayed, mismatches)})
 	if e.durable {
 		// Persist the freshly trained layout and truncate the WAL at the
 		// swap: recovery then restores the new layout from the checkpoint

@@ -58,12 +58,31 @@
 // every stripe), and readers hold their stripes across their whole fan-out,
 // no reader ever observes the row on zero shards or on two shards —
 // including while a shadow retrain of either shard is in flight (both
-// halves journal like any other write, with the payload pinning row
-// identity and the epoch recording commit order).
+// halves reach its journal like any other write; see below).
+//
+// # One record, one replay path
+//
+// A mutation has exactly one encoding below the public API: a wal.Record
+// (kind, keys, the payload of the row actually touched, the epoch it was
+// applied under). shard.run builds it once per write and hands the same
+// value to both logs — the in-memory retrain journal, kept only while a
+// shadow retrain of the shard is in flight, and the shard's WAL on durable
+// engines — under one jmu window, so both see application order. Whether a
+// record also reaches the WAL is a property of the call (run's skipWAL
+// argument), not of the record: move halves and rebalance staging takes are
+// journaled but logged later as MoveOut/MoveIn pairs (appendMovePair).
+// Every consumer replays through one function, applyRecord (apply.go): the
+// retrain swap draining its journal onto the shadow, crash recovery
+// replaying WAL tails onto checkpoints, and a follower's Replicator. Row
+// identity (the payload) makes replay resolve duplicate keys to the same
+// row the live table touched, so all three reproduce it byte-identically;
+// a record naming a row the replayed image lacks is counted and surfaced
+// (retrain.swap / recovery.replay event notes, Replicator.Mismatches),
+// never silently dropped.
 //
 // # Lock order
 //
-// Gate stripes come first, then shard locks, then journal locks:
+// Gate stripes come first, then shard locks, then the journal/WAL lock:
 //
 //	gate stripe(s) (ascending stripe index) → shard.mu → shard.jmu
 //
@@ -170,74 +189,11 @@ import (
 	"casper/internal/workload"
 )
 
-// journalKind enumerates the mutations a retrain journal can carry.
-type journalKind int
-
-const (
-	jInsert journalKind = iota
-	jInsertRow
-	jDelete
-	jUpdate
-)
-
-// journalOp is one mutation recorded while a shadow retrain is in flight,
-// replayed onto the shadow table before it is swapped in. Deletes and
-// updates carry the payload of the row the live table actually touched, so
-// replay resolves duplicate keys to the same row. Replay order is the
-// append order established under jmu; the epoch stamp does not drive
-// replay — it records which engine epoch each mutation was applied under,
-// for diagnostics and tests.
-type journalOp struct {
-	kind  journalKind
-	key   int64
-	key2  int64
-	row   []int32
-	epoch uint64
-	// skipWAL suppresses the WAL record for this mutation. The halves of a
-	// cross-shard move set it: they journal normally (shadow retrains must
-	// replay them) but durability logs the move as a MoveOut/MoveIn record
-	// pair at publish instead, so recovery can reconcile a move whose
-	// halves straddle the crash.
-	skipWAL bool
-}
-
-// record converts a journal entry to its WAL form.
-func (j journalOp) record() wal.Record {
-	var k wal.Kind
-	switch j.kind {
-	case jInsert:
-		k = wal.RecInsert
-	case jInsertRow:
-		k = wal.RecInsertRow
-	case jDelete:
-		k = wal.RecDelete
-	case jUpdate:
-		k = wal.RecUpdate
-	}
-	return wal.Record{Kind: k, Epoch: j.epoch, Key: j.key, Key2: j.key2, Row: j.row}
-}
-
-func (j journalOp) applyTo(t *table.Table) {
-	switch j.kind {
-	case jInsert:
-		t.Insert(j.key)
-	case jInsertRow:
-		t.InsertRow(j.key, j.row)
-	case jDelete:
-		// Row-identity replay: drop the duplicate carrying exactly the
-		// journaled payload (mirrored failure: key also absent in shadow).
-		_ = t.DeleteRowExact(j.key, j.row)
-	case jUpdate:
-		if err := t.DeleteRowExact(j.key, j.row); err == nil {
-			t.InsertRow(j.key2, j.row)
-		}
-	}
-}
-
 // errEmptyShard marks operations against a shard that holds no rows yet.
 var errEmptyShard = fmt.Errorf("shard: empty shard")
 
-// shard is one partition: a table plus the swap lock and retrain journal.
+// shard is one partition: a table plus the swap lock and its two op-logs of
+// wal.Records — the transient retrain journal and (durable engines) the WAL.
 type shard struct {
 	// idx is this shard's ordinal in eng.shards; together they let a write
 	// revalidate its routing after acquiring the swap lock (see Engine.mutate
@@ -255,10 +211,11 @@ type shard struct {
 	// and append under mu.RLock + jmu (keeping journal order identical
 	// to application order); the retrainer flips journaling and drains
 	// the journal under mu.Lock, so a swap observes every mutation
-	// applied to the outgoing table.
+	// applied to the outgoing table. The journal holds the very records
+	// the WAL would (or does) carry, and drains through applyRecord.
 	jmu        sync.Mutex
 	journaling bool // written only under mu.Lock; stable under mu.RLock
-	journal    []journalOp
+	journal    []wal.Record
 
 	// layoutMu serializes layout mutations (in-place Train vs shadow
 	// retrain) on this shard: a user-driven Train blocks behind an
@@ -317,6 +274,25 @@ type Config struct {
 	// a token-bucket write limiter with per-tenant fairness whose refill
 	// rate the drift monitors govern. The zero value disables it.
 	Admission AdmissionPolicy
+}
+
+// withDefaults resolves the zero values New documents.
+func (c Config) withDefaults() Config {
+	if c.Shards < 1 {
+		c.Shards = 1
+	}
+	if c.MonitorCap <= 0 {
+		c.MonitorCap = 8192
+	}
+	if c.Epoch == nil {
+		c.Epoch = txn.NewOracle()
+	}
+	return c
+}
+
+// newShard returns shard i of e, empty; cfg has its defaults resolved.
+func newShard(i int, e *Engine, cfg Config) *shard {
+	return &shard{idx: i, eng: e, cfg: cfg.Table, mon: &monitor{cap: cfg.MonitorCap}, ep: cfg.Epoch}
 }
 
 // pendingMove is a cross-shard UpdateKey whose take half has executed but
@@ -401,11 +377,14 @@ type Engine struct {
 	// shared, cleared only by Close.
 	adm *admission
 
-	// monOn counts the background workers (retrainer, rebalancer,
-	// admission governor) that want per-operation monitor recording, so
+	// monOn counts the consumers (retrainer, rebalancer, admission governor,
+	// an explicit StartMonitor session) that want per-operation recording, so
 	// the unmonitored fast path costs one atomic load and the workers can
 	// start and stop independently.
-	monOn        atomic.Int32
+	monOn atomic.Int32
+	// userMon marks an explicit monitoring session (StartMonitor); it holds
+	// one monOn reference while set.
+	userMon      atomic.Bool
 	keyLo, keyHi int64 // initial key extremes, for drift bucketing
 
 	retrainMu sync.Mutex
@@ -769,25 +748,14 @@ func newInMemory(keys []int64, cfg Config) (*Engine, error) {
 	if len(keys) == 0 {
 		return nil, fmt.Errorf("shard: empty key set")
 	}
-	n := cfg.Shards
-	if n < 1 {
-		n = 1
-	}
+	cfg = cfg.withDefaults()
 	var part Partitioner
 	if cfg.ByRange {
-		part = NewRangePartitioner(keys, n)
+		part = NewRangePartitioner(keys, cfg.Shards)
 	} else {
-		part = NewHashPartitioner(n)
+		part = NewHashPartitioner(cfg.Shards)
 	}
-	monCap := cfg.MonitorCap
-	if monCap <= 0 {
-		monCap = 8192
-	}
-	ep := cfg.Epoch
-	if ep == nil {
-		ep = txn.NewOracle()
-	}
-	e := &Engine{cfg: cfg.Table, epoch: ep, keyLo: keys[0], keyHi: keys[0]}
+	e := &Engine{cfg: cfg.Table, epoch: cfg.Epoch, keyLo: keys[0], keyHi: keys[0]}
 	e.initRoute(part)
 	perShard := make([][]int64, part.Shards())
 	for _, k := range keys {
@@ -800,7 +768,7 @@ func newInMemory(keys []int64, cfg Config) (*Engine, error) {
 		}
 	}
 	for i := 0; i < part.Shards(); i++ {
-		s := &shard{idx: i, eng: e, cfg: cfg.Table, mon: newMonitor(monCap), ep: ep}
+		s := newShard(i, e, cfg)
 		if len(perShard[i]) > 0 {
 			tbl, err := table.New(perShard[i], cfg.Table, cfg.Gen)
 			if err != nil {
@@ -828,11 +796,6 @@ func (e *Engine) Partitioner() Partitioner { return e.loadPart() }
 // txn.Manager, once per transaction commit).
 func (e *Engine) Epoch() uint64 { return e.epoch.Now() }
 
-// shardFor routes a key to its shard under the current partitioner. Reads
-// call it under the move gate (route stable for the whole query); writes go
-// through mutate, which revalidates the route under the shard swap lock.
-func (e *Engine) shardFor(key int64) *shard { return e.shards[e.loadPart().Shard(key)] }
-
 // bucket maps a key to a drift-histogram bucket over the initial domain.
 func (e *Engine) bucket(key int64) int {
 	span := e.keyHi - e.keyLo + 1
@@ -840,13 +803,7 @@ func (e *Engine) bucket(key int64) int {
 		return 0
 	}
 	b := int(float64(key-e.keyLo) / float64(span) * driftBuckets)
-	if b < 0 {
-		b = 0
-	}
-	if b >= driftBuckets {
-		b = driftBuckets - 1
-	}
-	return b
+	return max(0, min(b, driftBuckets-1))
 }
 
 // record feeds an operation into the monitor of every shard it touches,
@@ -864,21 +821,21 @@ func (e *Engine) record(op workload.Op) {
 }
 
 // ---------------------------------------------------------------------------
-// Shard-local application with journaling
+// Shard-local application: one record per mutation, journaled and logged
 // ---------------------------------------------------------------------------
 
-// routed reports whether this shard still owns j's key(s) under the current
+// routed reports whether this shard still owns r's key(s) under the current
 // partitioner. It must be evaluated while holding s.mu (shared or
 // exclusive): a rebalance installs a new partitioner only while holding
 // every shard's swap lock exclusively, so the answer is stable for the rest
 // of the lock window, and a writer that acquired the lock after an install
 // is guaranteed to observe the new routing.
-func (s *shard) routed(j *journalOp) bool {
+func (s *shard) routed(r *wal.Record) bool {
 	p := s.eng.loadPart()
-	if p.Shard(j.key) != s.idx {
+	if p.Shard(r.Key) != s.idx {
 		return false
 	}
-	return j.kind != jUpdate || p.Shard(j.key2) == s.idx
+	return r.Kind != wal.RecUpdate || p.Shard(r.Key2) == s.idx
 }
 
 // ErrReadOnly is returned by every mutation on a follower engine: a
@@ -886,67 +843,74 @@ func (s *shard) routed(j *journalOp) bool {
 // would silently diverge it.
 var ErrReadOnly = errors.New("shard: engine is read-only (follower)")
 
-// mutate routes j to its owning shard and runs it there, re-routing if a
+// mutate routes r to its owning shard and runs it there, re-routing if a
 // concurrent rebalance moved the key's owner while the write waited on the
 // shard lock.
-func (e *Engine) mutate(j *journalOp, fn func(t *table.Table, capture bool) error) error {
+func (e *Engine) mutate(r *wal.Record, fn func(t *table.Table, capture bool) error) error {
 	if e.readonly {
 		return ErrReadOnly
 	}
 	for {
-		if err, ok := e.shardFor(j.key).run(j, fn); ok {
+		if err, ok := e.shards[e.loadPart().Shard(r.Key)].run(r, false, fn); ok {
 			return err
 		}
 	}
 }
 
-// run executes a mutation against the shard's current table under the swap
-// read lock, journaling it (on success) when a shadow retrain is in flight
-// and WAL-logging it when the engine is durable. fn receives whether it must
-// capture row identity; when it must, fn fills j.row with the payload of the
-// row it touched before returning — the journal entry and WAL record are
-// appended after fn succeeds, so they carry the row identity. When the shard
+// run executes one mutation against the shard's current table under the swap
+// read lock. r is the mutation's one encoding: the wal.Record that the
+// retrain journal keeps while a shadow retrain is in flight, that the WAL
+// appends when the engine is durable, and that applyRecord later replays —
+// onto the shadow at the swap, onto a checkpoint at recovery, onto a
+// follower. fn performs the live mutation and receives whether it must
+// capture row identity; when it must, fn fills r.Row with the payload of the
+// row it touched before returning, and run stamps r.Epoch and appends r only
+// after fn succeeds. skipWAL keeps the record out of the WAL but not out of
+// the journal: the halves of a cross-shard move and a rebalance's staging
+// takes set it, because durability logs those as MoveOut/MoveIn pairs at
+// publish instead (so recovery can reconcile a move whose halves straddle
+// the crash) while a shadow retrain must still replay them. When the shard
 // is still empty, seed builds a one-row table for inserts; deletes and
 // updates report errEmptyShard.
 //
 // run returns ok=false without executing fn when the shard no longer owns
-// j's key under the current partitioner (a rebalance installed new
+// r's key under the current partitioner (a rebalance installed new
 // boundaries while this write waited on the lock); the caller re-routes.
 //
 // The journaling flag only transitions under the exclusive swap lock, so it
 // is stable for the whole RLock window here. While a retrain is in flight or
 // a WAL is attached, apply and append happen atomically under jmu: dependent
 // writes (an update another writer's delete relies on) land in the journal
-// and the WAL in exactly their application order, so both shadow replay and
-// crash replay preserve the live table's row contents byte-identically —
-// deletes and updates carry the payload of the row the live table actually
-// touched, resolving duplicate keys to the same row. When neither is active,
-// writes skip jmu entirely and only contend on the table's chunk locks.
+// and the WAL in exactly their application order, so replay preserves the
+// live table's row contents byte-identically — deletes and updates carry the
+// payload of the row the live table actually touched, resolving duplicate
+// keys to the same row. When neither is active, writes skip jmu entirely and
+// only contend on the table's chunk locks.
 //
 // The WAL fsync (group commit, per the log's policy) happens after the locks
 // are released, so concurrent committers share fsyncs instead of serializing
 // on one.
-func (s *shard) run(j *journalOp, fn func(t *table.Table, capture bool) error) (error, bool) {
+func (s *shard) run(r *wal.Record, skipWAL bool, fn func(t *table.Table, capture bool) error) (error, bool) {
+	logging := s.log != nil && !skipWAL
 	for {
 		s.mu.RLock()
-		if !s.routed(j) {
+		if !s.routed(r) {
 			s.mu.RUnlock()
 			return nil, false
 		}
 		if t := s.tbl; t != nil {
 			var err error
 			var lsn uint64
-			logging := s.log != nil && !j.skipWAL
 			if s.journaling || logging {
 				s.jmu.Lock()
 				err = fn(t, true)
 				if err == nil {
-					j.epoch = s.ep.Now()
+					r.Epoch = s.ep.Now()
 					if s.journaling {
-						s.journal = append(s.journal, *j)
+						s.journal = append(s.journal, *r)
 					}
 					if logging {
-						lsn, _ = s.log.Append(j.record()) // sticky error surfaces in Commit
+						lsn, _ = s.log.Append(*r) // sticky error surfaces in Commit
 					}
 				}
 				s.jmu.Unlock()
@@ -955,51 +919,61 @@ func (s *shard) run(j *journalOp, fn func(t *table.Table, capture bool) error) (
 			}
 			s.mu.RUnlock()
 			if err == nil && logging {
-				if werr := s.log.Commit(lsn); werr != nil {
-					return werr, true
-				}
+				err = s.log.Commit(lsn)
 			}
 			return err, true
 		}
 		s.mu.RUnlock()
-		if j.kind == jDelete || j.kind == jUpdate {
+		if r.Kind == wal.RecDelete || r.Kind == wal.RecUpdate {
 			return errEmptyShard, true
 		}
-		if ok, lsn, logged := s.seed(*j); ok {
-			if logged {
-				if werr := s.log.Commit(lsn); werr != nil {
-					return werr, true
-				}
-			}
-			return nil, true
+		ok, lsn, err := s.seed(r, logging)
+		if err == nil && ok && logging {
+			err = s.log.Commit(lsn)
+		}
+		if ok || err != nil {
+			return err, true
 		}
 		// Lost the creation race (or the route went stale); retry — the
 		// top-of-loop route check re-routes a stale write.
 	}
 }
 
-// seed creates the shard's table holding exactly j's row, WAL-logging the
-// insert under the same exclusive window so no later record can precede it.
-// Returns ok=false if another writer created the table first or the route
-// went stale under a concurrent rebalance; logged reports whether a WAL
-// record was appended (commit it after seeing ok).
-func (s *shard) seed(j journalOp) (ok bool, lsn uint64, logged bool) {
+// seed creates the shard's table holding exactly r's row, WAL-logging the
+// insert (when logging) under the same exclusive window so no later record
+// can precede it; the caller commits lsn after seeing ok. Returns ok=false
+// if another writer created the table first or the route went stale under a
+// concurrent rebalance.
+func (s *shard) seed(r *wal.Record, logging bool) (ok bool, lsn uint64, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.tbl != nil || !s.routed(&j) {
-		return false, 0, false
+	if s.tbl != nil || !s.routed(r) {
+		return false, 0, nil
 	}
-	tbl, err := table.NewFromRows([]int64{j.key}, [][]int32{j.row}, s.cfg)
+	if _, err = s.replay(*r); err != nil { // empty shard: replay seeds the table from r's row
+		return false, 0, err
+	}
+	if logging {
+		r.Epoch = s.ep.Now()
+		lsn, _ = s.log.Append(*r)
+	}
+	return true, lsn, nil
+}
+
+// seedTable builds the one-row table an empty shard starts from. A nil row
+// takes the default payload (a plain insert); an explicit row must match the
+// configured payload width — anything else was logged against a different
+// schema and must surface as an error, not be silently padded or truncated.
+func seedTable(cfg table.Config, key int64, row []int32) (*table.Table, error) {
+	if row != nil && len(row) != max(cfg.PayloadCols, 0) {
+		return nil, fmt.Errorf("shard: seeding one-row table: key %d carries %d payload columns, table has %d",
+			key, len(row), max(cfg.PayloadCols, 0))
+	}
+	tbl, err := table.NewFromRows([]int64{key}, [][]int32{row}, cfg)
 	if err != nil {
-		panic(fmt.Sprintf("shard: seeding one-row table: %v", err))
+		return nil, fmt.Errorf("shard: seeding one-row table: %w", err)
 	}
-	s.tbl = tbl
-	if s.log != nil && !j.skipWAL {
-		j.epoch = s.ep.Now()
-		lsn, _ = s.log.Append(j.record())
-		return true, lsn, true
-	}
-	return true, 0, false
+	return tbl, nil
 }
 
 // read runs fn against the current table under the swap read lock; fn is
@@ -1038,29 +1012,6 @@ func (e *Engine) pointQueryAt(v *routeSnap, key int64) int {
 	v.moves.forRange(key, key, func(*pendingMove) { n++; hits++ })
 	e.compHit(int(key), hits)
 	return n
-}
-
-// fanOut merges fn over shards [a, b], returning the sum. The merge runs on
-// the engine's worker pool when the runtime has CPUs to run it; on a
-// single-CPU runtime a sequential merge is strictly cheaper. The aggregate
-// read path now folds over streaming scans (streamFold); fanOut remains as
-// the materialized reference implementation the oracle-equivalence tests
-// compare against.
-func (e *Engine) fanOut(a, b int, fn func(*table.Table) int64) int64 {
-	if a == b {
-		var v int64
-		e.shards[a].read(func(t *table.Table) { v = fn(t) })
-		return v
-	}
-	parts := make([]int64, b-a+1)
-	e.pool.run(len(parts), func(i int) {
-		e.shards[a+i].read(func(t *table.Table) { parts[i] = fn(t) })
-	})
-	var sum int64
-	for _, v := range parts {
-		sum += v
-	}
-	return sum
 }
 
 // RangeCount counts live rows with keys in [lo, hi] (Q2).
@@ -1344,7 +1295,7 @@ func (e *Engine) insertAdmitted(key int64) error {
 	if e.monitoring() {
 		e.record(workload.Op{Kind: workload.Q4Insert, Key: key})
 	}
-	return e.mutate(&journalOp{kind: jInsert, key: key},
+	return e.mutate(&wal.Record{Kind: wal.RecInsert, Key: key},
 		func(t *table.Table, _ bool) error { t.Insert(key); return nil })
 }
 
@@ -1355,12 +1306,7 @@ func (e *Engine) insertAdmitted(key int64) error {
 // delete with no payload copy. The operation feeds the drift monitor only
 // when it succeeds. Under admission control the op is gated on tenant lane
 // 0 and may return ErrOverload without having been applied.
-func (e *Engine) Delete(key int64) error {
-	if err := e.admit(0, true); err != nil {
-		return err
-	}
-	return e.deleteAdmitted(key)
-}
+func (e *Engine) Delete(key int64) error { return e.Writer(0).Delete(key) }
 
 // deleteAdmitted is the write path below admission.
 func (e *Engine) deleteAdmitted(key int64) error {
@@ -1368,13 +1314,13 @@ func (e *Engine) deleteAdmitted(key int64) error {
 	// wants counted); the drift monitor below keeps its success-only rule.
 	tr := e.obs.OpBegin(obs.OpDelete, int(key))
 	defer e.obs.OpEnd(obs.OpDelete, int(key), tr)
-	j := &journalOp{kind: jDelete, key: key}
-	err := e.mutate(j, func(t *table.Table, capture bool) error {
+	r := &wal.Record{Kind: wal.RecDelete, Key: key}
+	err := e.mutate(r, func(t *table.Table, capture bool) error {
 		if !capture {
 			return t.Delete(key)
 		}
 		row, terr := t.TakeRow(key)
-		j.row = row
+		r.Row = row
 		return terr
 	})
 	if err == errEmptyShard {
@@ -1394,12 +1340,7 @@ func (e *Engine) deleteAdmitted(key int64) error {
 // the drift monitor only when it succeeds. Under admission control the op
 // is gated on tenant lane 0 and may return ErrOverload without having been
 // applied.
-func (e *Engine) UpdateKey(old, new int64) error {
-	if err := e.admit(0, true); err != nil {
-		return err
-	}
-	return e.updateKeyAdmitted(old, new)
-}
+func (e *Engine) UpdateKey(old, new int64) error { return e.Writer(0).UpdateKey(old, new) }
 
 // updateKeyAdmitted is the write path below admission.
 func (e *Engine) updateKeyAdmitted(old, new int64) error {
@@ -1414,13 +1355,13 @@ func (e *Engine) updateKeyAdmitted(old, new int64) error {
 		so, sn := p.Shard(old), p.Shard(new)
 		var ok bool
 		if so == sn {
-			j := &journalOp{kind: jUpdate, key: old, key2: new}
-			err, ok = e.shards[so].run(j, func(t *table.Table, capture bool) error {
+			r := &wal.Record{Kind: wal.RecUpdate, Key: old, Key2: new}
+			err, ok = e.shards[so].run(r, false, func(t *table.Table, capture bool) error {
 				if !capture {
 					return t.UpdateKey(old, new)
 				}
 				row, terr := t.UpdateKeyRow(old, new)
-				j.row = row
+				r.Row = row
 				return terr
 			})
 			if ok && err == errEmptyShard {
@@ -1461,7 +1402,7 @@ func (e *Engine) updateKeyAdmitted(old, new int64) error {
 // same-shard update when a rebalance collapsed the two keys onto one shard
 // before the stage window.
 func (e *Engine) moveCrossShard(old, new int64) (_ error, ok bool) {
-	// The take, insert, and rollback halves all set skipWAL: durability
+	// The take, insert, and rollback halves all run with skipWAL: durability
 	// logs the move as one MoveOut/MoveIn record pair at publish (below),
 	// so a crash between the windows recovers the row at its old key and a
 	// rolled-back move leaves no WAL trace. The halves still journal for
@@ -1484,12 +1425,12 @@ func (e *Engine) moveCrossShard(old, new int64) (_ error, ok bool) {
 		e.unlockAll()
 		return nil, false
 	}
-	j := &journalOp{kind: jDelete, key: old, skipWAL: true}
+	take := &wal.Record{Kind: wal.RecDelete, Key: old}
 	// The route is stable under the held move gate, so run cannot re-route.
-	err, _ := e.shards[so].run(j, func(t *table.Table, _ bool) error {
+	err, _ := e.shards[so].run(take, true, func(t *table.Table, _ bool) error {
 		// The payload is needed for the move itself, journaling or not.
 		row, terr := t.TakeRow(old)
-		j.row = row
+		take.Row = row
 		return terr
 	})
 	if err != nil {
@@ -1499,7 +1440,7 @@ func (e *Engine) moveCrossShard(old, new int64) (_ error, ok bool) {
 		}
 		return err, true
 	}
-	m := &pendingMove{old: old, new: new, row: j.row}
+	m := &pendingMove{old: old, new: new, row: take.Row}
 	e.addMove(m)
 	e.unlockAll()
 	e.obs.Event(obs.Event{Kind: obs.EvMoveStage, Shard: so, Rows: 1,
@@ -1523,7 +1464,7 @@ func (e *Engine) moveCrossShard(old, new int64) (_ error, ok bool) {
 		ierr = e.failDestInsert(sn, new)
 	}
 	if ierr == nil {
-		ierr, _ = e.shards[sn].run(&journalOp{kind: jInsertRow, key: new, row: m.row, skipWAL: true},
+		ierr, _ = e.shards[sn].run(&wal.Record{Kind: wal.RecInsertRow, Key: new, Row: m.row}, true,
 			func(t *table.Table, _ bool) error { t.InsertRow(new, m.row); return nil })
 	}
 	if ierr != nil {
@@ -1532,7 +1473,7 @@ func (e *Engine) moveCrossShard(old, new int64) (_ error, ok bool) {
 		// the rollback itself fails (not reachable with in-memory tables),
 		// the entry is kept pinned — the row stays readable at old rather
 		// than vanishing — and both errors are reported.
-		rerr, _ := e.shards[so].run(&journalOp{kind: jInsertRow, key: old, row: m.row, skipWAL: true},
+		rerr, _ := e.shards[so].run(&wal.Record{Kind: wal.RecInsertRow, Key: old, Row: m.row}, true,
 			func(t *table.Table, _ bool) error { t.InsertRow(old, m.row); return nil })
 		if rerr != nil {
 			return fmt.Errorf("shard: cross-shard update %d→%d: destination insert: %v; rollback failed, row pinned in staged registry: %w", old, new, ierr, rerr), true
@@ -1558,31 +1499,38 @@ func (e *Engine) moveCrossShard(old, new int64) (_ error, ok bool) {
 	return werr, true
 }
 
-// logMove appends the MoveOut/MoveIn record pair of a published cross-shard
-// move, both stamped with the publish epoch (so recovery restores the epoch
-// oracle past the bump even when the move is the last durable event), and
-// commits both per the fsync policy. Caller holds every gate stripe
+// appendMovePair allocates a move ID and appends the MoveOut/MoveIn record
+// pair of one published move (a cross-shard UpdateKey, or a rebalance bulk
+// move with Key == Key2) to the source and destination WALs, returning both
+// LSNs for the caller to commit. rec carries the publish epoch — so recovery
+// restores the epoch oracle past the bump even when the move is the last
+// durable event — plus the keys and the row. Caller holds every gate stripe
 // exclusively (publish window), so the pair is atomic with respect to
 // checkpoints and the move-ID horizon they record. Each append takes its
-// shard's jmu so the
-// epoch stamps stay monotonic within that shard's WAL (epoch-order replay
-// relies on stable per-shard order).
-func (e *Engine) logMove(so, sn int, old, new int64, row []int32, pub uint64) error {
-	id := e.moveSeq.Add(1)
+// shard's jmu so the epoch stamps stay monotonic within that shard's WAL
+// (epoch-order replay relies on stable per-shard order).
+func (e *Engine) appendMovePair(so, sn int, rec wal.Record) (lsnOut, lsnIn uint64) {
+	rec.MoveID = e.moveSeq.Add(1)
 	src, dst := e.shards[so], e.shards[sn]
-	rec := wal.Record{Epoch: pub, MoveID: id, Key: old, Key2: new, Row: row}
 	src.jmu.Lock()
 	rec.Kind = wal.RecMoveOut
-	lsnOut, _ := src.log.Append(rec)
+	lsnOut, _ = src.log.Append(rec) // sticky error surfaces in Commit
 	src.jmu.Unlock()
 	dst.jmu.Lock()
 	rec.Kind = wal.RecMoveIn
-	lsnIn, _ := dst.log.Append(rec)
+	lsnIn, _ = dst.log.Append(rec)
 	dst.jmu.Unlock()
-	if err := src.log.Commit(lsnOut); err != nil {
+	return lsnOut, lsnIn
+}
+
+// logMove makes a published cross-shard move durable: one record pair,
+// committed on both shards per the fsync policy.
+func (e *Engine) logMove(so, sn int, old, new int64, row []int32, pub uint64) error {
+	lsnOut, lsnIn := e.appendMovePair(so, sn, wal.Record{Epoch: pub, Key: old, Key2: new, Row: row})
+	if err := e.shards[so].log.Commit(lsnOut); err != nil {
 		return err
 	}
-	return dst.log.Commit(lsnIn)
+	return e.shards[sn].log.Commit(lsnIn)
 }
 
 // ---------------------------------------------------------------------------
@@ -1635,34 +1583,20 @@ func (e *Engine) ExecuteAll(ops []workload.Op) int64 {
 	return sink
 }
 
-// ExecuteParallel spreads the operations over the given number of worker
-// goroutines regardless of shard affinity; shard and chunk locks serialize
-// conflicting writes.
-func (e *Engine) ExecuteParallel(ops []workload.Op, workers int) int64 {
-	if workers <= 1 {
-		return e.ExecuteAll(ops)
-	}
+// executeGroups runs every non-empty group on its own goroutine, each in
+// order, and returns the summed sinks.
+func (e *Engine) executeGroups(groups [][]workload.Op) int64 {
 	var wg sync.WaitGroup
-	sums := make([]int64, workers)
-	per := (len(ops) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * per
-		hi := lo + per
-		if hi > len(ops) {
-			hi = len(ops)
-		}
-		if lo >= hi {
-			break
+	sums := make([]int64, len(groups))
+	for i, g := range groups {
+		if len(g) == 0 {
+			continue
 		}
 		wg.Add(1)
-		go func(w int, part []workload.Op) {
+		go func(i int, g []workload.Op) {
 			defer wg.Done()
-			var s int64
-			for _, op := range part {
-				s += e.Execute(op)
-			}
-			sums[w] = s
-		}(w, ops[lo:hi])
+			sums[i] = e.ExecuteAll(g)
+		}(i, g)
 	}
 	wg.Wait()
 	var sink int64
@@ -1670,6 +1604,21 @@ func (e *Engine) ExecuteParallel(ops []workload.Op, workers int) int64 {
 		sink += s
 	}
 	return sink
+}
+
+// ExecuteParallel spreads the operations over the given number of worker
+// goroutines regardless of shard affinity; shard and chunk locks serialize
+// conflicting writes.
+func (e *Engine) ExecuteParallel(ops []workload.Op, workers int) int64 {
+	if workers <= 1 {
+		return e.ExecuteAll(ops)
+	}
+	per := (len(ops) + workers - 1) / workers
+	groups := make([][]workload.Op, 0, workers)
+	for lo := 0; lo < len(ops); lo += per {
+		groups = append(groups, ops[lo:min(lo+per, len(ops))])
+	}
+	return e.executeGroups(groups)
 }
 
 // ApplyBatch groups the operations by owning shard and applies each group on
@@ -1705,31 +1654,7 @@ func (e *Engine) ApplyBatch(ops []workload.Op) int64 {
 			cross = append(cross, op)
 		}
 	}
-	var wg sync.WaitGroup
-	sums := make([]int64, n)
-	for i, g := range groups {
-		if len(g) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, g []workload.Op) {
-			defer wg.Done()
-			var s int64
-			for _, op := range g {
-				s += e.Execute(op)
-			}
-			sums[i] = s
-		}(i, g)
-	}
-	wg.Wait()
-	var sink int64
-	for _, s := range sums {
-		sink += s
-	}
-	for _, op := range cross {
-		sink += e.Execute(op)
-	}
-	return sink
+	return e.executeGroups(groups) + e.ExecuteAll(cross)
 }
 
 // Pending is a handle to an asynchronously applied batch.
@@ -1758,12 +1683,18 @@ func (e *Engine) ApplyBatchAsync(ops []workload.Op) *Pending {
 // parallelism between them. Training mutates layouts in place under chunk
 // locks; use the background retrainer for non-blocking re-layout.
 func (e *Engine) Train(sample []workload.Op, parallelism int) error {
+	p := e.loadPart()
+	return e.trainShards(workload.SplitByShard(sample, len(e.shards), p.Shard, p.Span), parallelism)
+}
+
+// trainShards trains shard i in place on per[i], then rebases the drift
+// monitors and checkpoints; shared by Train (one sample, split by routing)
+// and Retrain (each shard's own monitor window).
+func (e *Engine) trainShards(per [][]workload.Op, parallelism int) error {
 	if parallelism < 1 {
 		parallelism = 1
 	}
 	n := len(e.shards)
-	p := e.loadPart()
-	per := workload.SplitByShard(sample, n, p.Shard, p.Span)
 	conc := n
 	if parallelism < conc {
 		conc = parallelism

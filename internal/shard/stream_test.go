@@ -20,6 +20,22 @@ import (
 	"casper/internal/workload"
 )
 
+// fanOut is the materialized reference read path the oracle-equivalence
+// tests compare the streaming folds against: fn runs over each of shards
+// [a, b] as a whole (on the engine's worker pool when it has CPUs) and the
+// per-shard results are summed. Production reads go through streamFold only.
+func (e *Engine) fanOut(a, b int, fn func(*table.Table) int64) int64 {
+	parts := make([]int64, b-a+1)
+	e.pool.run(len(parts), func(i int) {
+		e.shards[a+i].read(func(t *table.Table) { parts[i] = fn(t) })
+	})
+	var sum int64
+	for _, v := range parts {
+		sum += v
+	}
+	return sum
+}
+
 func streamTestEngine(t *testing.T, n int, shards int, byRange bool) (*Engine, []int64) {
 	t.Helper()
 	keys := make([]int64, n)

@@ -1,6 +1,14 @@
 package casper
 
+// The public monitor is the shard layer's op-log: StartMonitor opens a
+// session over the per-shard windows the background retrainer samples, and
+// Retrain re-solves each shard from its own window. These tests pin what
+// the old engine-wide ring guaranteed — counts, window eviction, Retrain's
+// preconditions — plus what the single op-log adds (direct calls are
+// recorded, failed writes are not, a multi-shard op counts once).
+
 import (
+	"math"
 	"testing"
 )
 
@@ -44,6 +52,70 @@ func TestMonitorRecordsAndRetrains(t *testing.T) {
 	}
 	if e.Monitored() != 0 {
 		t.Fatal("monitor still active after StopMonitor")
+	}
+	if e.StopMonitor() != nil {
+		t.Fatal("second StopMonitor returned ops")
+	}
+	if err := e.Retrain(1); err == nil {
+		t.Fatal("Retrain after StopMonitor accepted")
+	}
+	// A fresh session starts empty and refuses to retrain from nothing.
+	e.StartMonitor(0)
+	if got := e.Monitored(); got != 0 {
+		t.Fatalf("restarted monitor holds %d ops, want 0", got)
+	}
+	if err := e.Retrain(1); err == nil {
+		t.Fatal("Retrain with an empty window accepted")
+	}
+}
+
+// TestMonitorIsTheShardOpLog: on a sharded engine the session sees every
+// served operation — through Execute or the direct methods alike — counts an
+// operation spanning shards once, skips writes that failed, and Retrain
+// trains each shard from its own window.
+func TestMonitorIsTheShardOpLog(t *testing.T) {
+	keys := UniformKeys(4000, 40_000, 21)
+	opts := testOptions(ModeCasper)
+	opts.Shards, opts.ShardByRange = 4, true
+	e, err := Open(keys, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.StartMonitor(1000)
+	e.PointQuery(keys[0])                    // direct call, not Execute
+	e.RangeCount(0, math.MaxInt64)           // spans all four shards
+	e.Execute(Op{Kind: Insert, Key: 41_000}) // via Execute
+	if err := e.Delete(-5); err == nil {     // absent key: must not be recorded
+		t.Fatal("Delete of an absent key succeeded")
+	}
+	e.ApplyBatch([]Op{{Kind: PointQuery, Key: keys[1]}, {Kind: RangeSum, Key: 0, Key2: 10}})
+	if got := e.Monitored(); got != 5 {
+		t.Fatalf("Monitored = %d, want 5 (point, range, insert, batch point, batch range)", got)
+	}
+	kinds := map[OpKind]int{}
+	for _, op := range e.StopMonitor() {
+		kinds[op.Kind]++
+	}
+	want := map[OpKind]int{PointQuery: 2, RangeCount: 1, RangeSum: 1, Insert: 1}
+	for k, n := range want {
+		if kinds[k] != n {
+			t.Fatalf("recorded kinds = %v, want %v", kinds, want)
+		}
+	}
+	if kinds[Delete] != 0 {
+		t.Fatal("failed delete was recorded")
+	}
+
+	e.StartMonitor(1000)
+	for i := 0; i < 400; i++ {
+		e.PointQuery(keys[i])
+		e.Insert(int64(i) * 97)
+	}
+	if err := e.Retrain(2); err != nil {
+		t.Fatalf("Retrain on a sharded engine: %v", err)
+	}
+	if e.Len() != 4000+1+400 {
+		t.Fatalf("Len = %d after retrain, want %d", e.Len(), 4000+1+400)
 	}
 }
 

@@ -114,13 +114,18 @@ func TestScanViewPinnedPages(t *testing.T) {
 }
 
 // TestScanOpExecuteAndMonitor checks the Scan op kind flows through
-// Execute, honors its Limit, and lands in the public monitor so Retrain
-// sees scan-shaped workloads.
+// Execute, honors its Limit, and lands in the monitor (the shard op-log)
+// so Retrain sees scan-shaped workloads.
 func TestScanOpExecuteAndMonitor(t *testing.T) {
 	e := openTest(t, ModeCasper, 2_000)
 	e.StartMonitor(100)
 	if got := e.Execute(Op{Kind: Scan, Key: 0, Key2: math.MaxInt64, Limit: 7}); got != 7 {
 		t.Fatalf("Execute(Scan, Limit 7) = %d", got)
+	}
+	// A window holding nothing but the scan retrains: the solver takes it as
+	// a range access over the requested span.
+	if err := e.Retrain(1); err != nil {
+		t.Fatalf("Retrain from a scan-only window: %v", err)
 	}
 	ops := e.StopMonitor()
 	found := false
