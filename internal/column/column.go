@@ -23,6 +23,7 @@ package column
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync/atomic"
 
@@ -93,6 +94,13 @@ type partition struct {
 	// partition min/max metadata). Writes widen them; RefreshZonemaps
 	// recomputes them exactly. Meaningless when n == 0.
 	min, max int64
+	// sum is the exact (wrapping) sum of the live values — unlike min/max
+	// it is never merely conservative: every value entering or leaving the
+	// partition adjusts it (place, removeAt, in-place Update), while ripples
+	// only rotate values within a partition and hand slots across
+	// boundaries. RangeSum answers covered partitions from it the way
+	// RangeCount answers them from n, without visiting a row.
+	sum int64
 }
 
 // covered reports whether every live value of p is guaranteed inside
@@ -233,6 +241,9 @@ func NewFromSorted(keys []int64, cfg Config) (*Column, error) {
 		p.cap = p.n + ghosts[j]
 		copy(c.vals[p.start:p.start+p.n], keys[lo:hi])
 		p.min, p.max = keys[lo], keys[hi-1]
+		for _, x := range keys[lo:hi] {
+			p.sum += x
+		}
 		// Payload rows are loaded positionally by the caller before any
 		// mutation; the identity placement here needs no mover calls
 		// beyond alignment of the ghost gaps, which the caller handles by
@@ -314,6 +325,16 @@ func (c *Column) PhysicalPositions(fn func(ordinal, pos int)) {
 // FindPartition returns the partition ordinal that owns value v.
 func (c *Column) FindPartition(v int64) int { return c.index.Find(v) }
 
+// Fence returns the largest key routed to the partition that owns v
+// (MaxInt64 for the last partition): [v, Fence(v)] lies inside one
+// partition, so a scan resuming at v can capture that partition alone.
+func (c *Column) Fence(v int64) int64 {
+	if j := c.index.Find(v) + 1; j < len(c.parts) {
+		return c.index.LowerBound(j) - 1
+	}
+	return math.MaxInt64
+}
+
 // PointQuery returns the number of live occurrences of v, scanning exactly
 // the owning partition with a tight loop (Fig. 3b).
 func (c *Column) PointQuery(v int64) int {
@@ -372,8 +393,9 @@ func (c *Column) RangeCount(lo, hi int64) int {
 	return count
 }
 
-// RangeSum returns the sum of live values in [lo, hi]. Interior partitions
-// are consumed with a tight sequential loop (all their values qualify).
+// RangeSum returns the (wrapping) sum of live values in [lo, hi]. Interior
+// and zonemap-covered partitions are answered from their maintained sums
+// without visiting a row; only uncovered edge partitions are filtered.
 func (c *Column) RangeSum(lo, hi int64) int64 {
 	atomic.AddInt64(&c.stats.RangeQueries, 1)
 	if hi < lo {
@@ -383,19 +405,16 @@ func (c *Column) RangeSum(lo, hi int64) int64 {
 	var sum int64
 	for j := first; j <= last; j++ {
 		p := &c.parts[j]
-		vals := c.vals[p.start : p.start+p.n]
 		if (j != first && j != last) || p.covered(lo, hi) {
 			if j == first || j == last {
 				atomic.AddInt64(&c.stats.ZonemapSkips, 1)
 			}
-			for _, x := range vals {
+			sum += p.sum
+			continue
+		}
+		for _, x := range c.vals[p.start : p.start+p.n] {
+			if x >= lo && x <= hi {
 				sum += x
-			}
-		} else {
-			for _, x := range vals {
-				if x >= lo && x <= hi {
-					sum += x
-				}
 			}
 		}
 		atomic.AddInt64(&c.stats.ValuesScanned, int64(p.n))
@@ -457,6 +476,19 @@ func (c *Column) widen(j int, v int64) {
 	}
 }
 
+// place writes v into the free slot at the end of partition j — the one
+// way a value enters a partition — and returns that slot.
+func (c *Column) place(j int, v int64) int {
+	c.widen(j, v)
+	p := &c.parts[j]
+	pos := p.start + p.n
+	c.vals[pos] = v
+	p.n++
+	p.sum += v
+	c.size++
+	return pos
+}
+
 // Insert adds v, returning the physical slot the new row occupies. The
 // caller writes the payload row at that position afterwards.
 func (c *Column) Insert(v int64) int {
@@ -468,12 +500,7 @@ func (c *Column) Insert(v int64) int {
 		if c.mode == Ghost {
 			atomic.AddInt64(&c.stats.GhostHits, 1)
 		}
-		c.widen(j, v)
-		pos := p.start + p.n
-		c.vals[pos] = v
-		p.n++
-		c.size++
-		return pos
+		return c.place(j, v)
 	}
 	// Ripple a free slot to the end of partition j from the nearest
 	// partition with spare capacity (the end of the column in Dense mode).
@@ -481,26 +508,13 @@ func (c *Column) Insert(v int64) int {
 	if h < 0 {
 		c.grow()
 		h = len(c.parts) - 1
-		if h == j {
-			c.widen(j, v)
-			pos := p.start + p.n
-			c.vals[pos] = v
-			p.n++
-			c.size++
-			return pos
-		}
 	}
 	if h > j {
 		c.rippleHoleBackward(h, j)
 	} else if h < j {
 		c.rippleHoleForward(h, j)
 	}
-	c.widen(j, v)
-	pos := p.start + p.n
-	c.vals[pos] = v
-	p.n++
-	c.size++
-	return pos
+	return c.place(j, v)
 }
 
 // Delete removes one live occurrence of v. In Ghost mode the freed slot
@@ -534,6 +548,7 @@ func (c *Column) Delete(v int64) error {
 // the partition, leaving a free slot at its end.
 func (c *Column) removeAt(j, pos int) {
 	p := &c.parts[j]
+	p.sum -= c.vals[pos]
 	last := p.start + p.n - 1
 	if pos != last {
 		c.vals[pos] = c.vals[last]
@@ -571,6 +586,7 @@ func (c *Column) Update(old, new int64) (int, error) {
 	if i == j {
 		// Same partition: overwrite in place.
 		c.vals[found] = new
+		src.sum += new - old
 		c.widen(j, new)
 		return found, nil
 	}
@@ -582,13 +598,7 @@ func (c *Column) Update(old, new int64) (int, error) {
 	} else {
 		c.rippleHoleBackward(i, j)
 	}
-	c.widen(j, new)
-	dst := &c.parts[j]
-	pos := dst.start + dst.n
-	c.vals[pos] = new
-	dst.n++
-	c.size++
-	return pos, nil
+	return c.place(j, new), nil
 }
 
 // nearestSpare returns the partition closest to j with a free slot,
@@ -697,9 +707,11 @@ func (c *Column) Validate() error {
 		}
 		pos += p.cap
 		total += p.n
-		// Every live value must route back to this partition and sit
-		// inside its (conservative) zonemap bounds.
+		// Every live value must route back to this partition, sit inside
+		// its (conservative) zonemap bounds and be counted in its (exact) sum.
+		var sum int64
 		for i := p.start; i < p.start+p.n; i++ {
+			sum += c.vals[i]
 			if owner := c.index.Find(c.vals[i]); owner != j {
 				return fmt.Errorf("value %d at slot %d sits in partition %d but routes to %d",
 					c.vals[i], i, j, owner)
@@ -708,6 +720,9 @@ func (c *Column) Validate() error {
 				return fmt.Errorf("value %d at slot %d outside zonemap [%d,%d] of partition %d",
 					c.vals[i], i, p.min, p.max, j)
 			}
+		}
+		if sum != p.sum {
+			return fmt.Errorf("partition %d carries sum %d, live values add up to %d", j, p.sum, sum)
 		}
 	}
 	if pos != len(c.vals) {

@@ -2,6 +2,7 @@ package column
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -616,4 +617,117 @@ func TestZonemapCorrectUnderRandomOps(t *testing.T) {
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestRangeSumFromPartitionSums checks RangeSum against a plain loop over
+// the live values through a random write mix, with ranges whose edge
+// partitions are covered, uncovered and empty, and checks that covered
+// partitions are answered from their maintained sums: they add nothing to
+// ValuesScanned, while Fence keeps [v, Fence(v)] inside v's partition.
+func TestRangeSumFromPartitionSums(t *testing.T) {
+	for _, mode := range []Mode{Dense, Ghost} {
+		rng := rand.New(rand.NewSource(11))
+		keys := sortedKeys(400, rng)
+		ghosts := make([]int, 8)
+		if mode == Ghost {
+			for i := range ghosts {
+				ghosts[i] = 3
+			}
+		}
+		c := build(t, keys, Config{Layout: costmodel.EquiWidth(40, 8), BlockValues: 10, Ghosts: ghosts, Mode: mode})
+		// Empty partition 2 so ranges start, end and pass through a
+		// partition without live values.
+		for _, k := range append([]int64(nil), keys[100:150]...) {
+			if c.FindPartition(k) == 2 {
+				_ = c.Delete(k)
+			}
+		}
+		for step := 0; step < 600; step++ {
+			switch k := int64(rng.Intn(4200)); rng.Intn(4) {
+			case 0:
+				c.Insert(k)
+			case 1:
+				_ = c.Delete(k)
+			case 2:
+				_, _ = c.Update(k, int64(rng.Intn(4200)))
+			}
+			lo := int64(rng.Intn(4200)) - 100
+			hi := lo + int64(rng.Intn(3000))
+			if step%3 == 0 { // snap to partition bounds: fully covered edges
+				lo, hi = c.Fence(lo)+1, c.Fence(hi)
+			}
+			var want, covered int64
+			for _, v := range c.Snapshot() {
+				if v >= lo && v <= hi {
+					want += v
+				}
+			}
+			before := c.Stats().ValuesScanned
+			if got := c.RangeSum(lo, hi); got != want {
+				t.Fatalf("%v step %d: RangeSum(%d,%d) = %d, plain loop %d", mode, step, lo, hi, got, want)
+			}
+			first, last := c.FindPartition(lo), c.FindPartition(hi)
+			for j := first; j <= last && hi >= lo; j++ {
+				if p := &c.parts[j]; (j == first || j == last) && !p.covered(lo, hi) {
+					covered += int64(p.n)
+				}
+			}
+			if got := c.Stats().ValuesScanned - before; got != covered {
+				t.Fatalf("%v step %d: RangeSum(%d,%d) visited %d values, uncovered edge partitions hold %d",
+					mode, step, lo, hi, got, covered)
+			}
+			if f := c.Fence(lo); f < lo || c.FindPartition(f) != first ||
+				(f != math.MaxInt64 && c.FindPartition(f+1) != first+1) {
+				t.Fatalf("%v: Fence(%d) = %d does not close partition %d", mode, lo, f, first)
+			}
+		}
+		if err := c.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestRangeSumWrapsLikeAPlainLoop pins the overflow contract: with keys near
+// ±2⁶³ the maintained sums wrap, and must wrap exactly as a plain int64 loop
+// does, through inserts, deletes and in-place and cross-partition updates.
+func TestRangeSumWrapsLikeAPlainLoop(t *testing.T) {
+	keys := []int64{math.MinInt64, math.MinInt64 + 1, math.MinInt64 + 2, -3, 0, 5,
+		math.MaxInt64 - 2, math.MaxInt64 - 1, math.MaxInt64, math.MaxInt64}
+	c := build(t, keys, Config{Layout: costmodel.Layout{Sizes: []int{2, 1, 2}}, BlockValues: 2, Ghosts: []int{1, 1, 1}})
+	check := func(when string) {
+		t.Helper()
+		if err := c.Validate(); err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		for _, r := range [][2]int64{{math.MinInt64, math.MaxInt64}, {math.MinInt64, 0}, {-3, math.MaxInt64},
+			{math.MaxInt64, math.MaxInt64}, {math.MinInt64 + 1, math.MaxInt64 - 1}} {
+			var want int64
+			for _, v := range c.Snapshot() {
+				if v >= r[0] && v <= r[1] {
+					want += v
+				}
+			}
+			if got := c.RangeSum(r[0], r[1]); got != want {
+				t.Fatalf("%s: RangeSum(%d,%d) = %d, plain loop %d", when, r[0], r[1], got, want)
+			}
+		}
+	}
+	check("built")
+	c.Insert(math.MaxInt64)
+	c.Insert(math.MinInt64)
+	check("after inserts at both extremes")
+	if _, err := c.Update(math.MinInt64, math.MaxInt64); err != nil {
+		t.Fatal(err)
+	}
+	check("after a cross-partition update MinInt64 -> MaxInt64")
+	if _, err := c.Update(math.MaxInt64-1, math.MaxInt64-2); err != nil {
+		t.Fatal(err)
+	}
+	check("after an in-place update")
+	for i := 0; i < 3; i++ {
+		if err := c.Delete(math.MaxInt64); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("after deletes")
 }

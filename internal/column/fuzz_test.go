@@ -8,7 +8,8 @@ import (
 )
 
 // FuzzColumnOps drives a partitioned column with an arbitrary byte-encoded
-// operation sequence and checks the structural invariants plus multiset
+// operation sequence and checks the structural invariants (Validate after
+// every op, which includes every partition's maintained sum) plus multiset
 // preservation against a reference. Run with `go test -fuzz=FuzzColumnOps`;
 // the seed corpus executes on every ordinary `go test`.
 func FuzzColumnOps(f *testing.F) {
@@ -68,21 +69,25 @@ func FuzzColumnOps(f *testing.F) {
 					}
 				case 4:
 					lo, hi := arg-16, arg+16
-					want := 0
+					want, wantSum := 0, int64(0)
 					for k, n := range ref {
 						if k >= lo && k <= hi {
 							want += n
+							wantSum += k * int64(n)
 						}
 					}
 					if got := c.RangeCount(lo, hi); got != want {
 						t.Fatalf("RangeCount(%d,%d) = %d, want %d", lo, hi, got, want)
 					}
+					if got := c.RangeSum(lo, hi); got != wantSum {
+						t.Fatalf("RangeSum(%d,%d) = %d, want %d", lo, hi, got, wantSum)
+					}
 				case 5:
 					c.RefreshZonemaps()
 				}
-			}
-			if err := c.Validate(); err != nil {
-				t.Fatalf("mode %v: %v", mode, err)
+				if err := c.Validate(); err != nil {
+					t.Fatalf("mode %v after op %d (%d %d): %v", mode, i/2, op, arg, err)
+				}
 			}
 			// Multiset comparison.
 			snap := c.SortedSnapshot()

@@ -14,6 +14,7 @@ package delta
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync/atomic"
 
@@ -51,12 +52,20 @@ type Stats struct {
 	Merges        int64
 }
 
+// unpartitioned is embedded by the three baselines: none has internal key
+// fences, so a scan resuming at any key captures the whole column.
+type unpartitioned struct{}
+
+// Fence mirrors column.Column.Fence for layouts without partitions.
+func (unpartitioned) Fence(int64) int64 { return math.MaxInt64 }
+
 // ---------------------------------------------------------------------------
 // HeapColumn
 // ---------------------------------------------------------------------------
 
 // HeapColumn stores values in insertion order: O(1) inserts, full-scan reads.
 type HeapColumn struct {
+	unpartitioned
 	vals  []int64
 	mover column.RowMover
 	stats Stats
@@ -174,6 +183,7 @@ func (h *HeapColumn) Snapshot() []int64 {
 // writes. This is the "Sorted" baseline whose update cost motivates delta
 // stores.
 type SortedColumn struct {
+	unpartitioned
 	vals  []int64
 	mover column.RowMover
 	stats Stats
@@ -323,6 +333,7 @@ func (s *SortedColumn) Snapshot() []int64 {
 // at position mainRegion+i, where mainRegion is fixed between merges. Merges
 // issue a Reorder to the Mover.
 type DeltaColumn struct {
+	unpartitioned
 	main       []int64
 	dead       []bool // tombstones aligned with main
 	deadCount  int

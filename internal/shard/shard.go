@@ -106,24 +106,36 @@
 // close (checkpoints, retrains) or under gate stripes alone (move
 // publish).
 //
-// Streaming scans (stream.go) follow the same order with one extra rule:
-// a cursor-mode shardSource acquires its shard's gate stripe shared only
-// for the duration of ONE batch fill — stripe → shard.mu → chunk locks,
-// all released before the batch is handed to the consumer — and never
-// holds any lock across a consumer yield. It revalidates at every fill:
-// the routing snapshot is reloaded under the stripe (observing any install
-// that landed between batches) and the table pointer is re-checked under
-// shard.mu (restarting the chunk iterator at the resume key if a shadow
-// retrain swapped the table). Pinned-mode sources (View.Scan, and the
-// streamFold under every aggregate) must NOT touch stripes — their caller
-// already holds the covering stripes shared, and re-acquiring would
-// deadlock behind a queued writer — so they take only shard.mu per batch.
-// Aggregates therefore keep today's exactly-once visibility: lockSpan is
-// held for the entire fold, batching only the chunk-level locking.
-// Prefetch fills run on fan-out pool workers and acquire stripe/shard.mu
-// in the same order; a fill never blocks on its consumer (the batch
-// hand-off channel always has room), so pool saturation degrades to
-// inline fills, never deadlock.
+// Aggregates (RangeCount, RangeSum, MultiRangeSum; Engine.foldShards) need
+// no key order, so they never enter the streaming path: they hold lockSpan
+// (or a View's stripes) for the whole call and take shard.mu exactly once
+// per spanned shard — inline on the caller for a one-shard span, on the
+// fan-out pool for a wider one — while the table folds its own partitions
+// under its chunk locks (covered partitions from their maintained sums and
+// counts, without visiting a row). The staged-move compensation is a scalar
+// the caller adds from the pinned snapshot, so every row is visible exactly
+// once for the whole fold.
+//
+// Streaming scans (stream.go: Cursor over shardSource over table.ScanIter)
+// follow the same order with one extra rule: a cursor-mode shardSource
+// acquires its shard's gate stripe shared only for the duration of ONE
+// batch fill — stripe → shard.mu → chunk locks, all released before the
+// batch is handed to the consumer — and never holds any lock across a
+// consumer yield. A fill draws from one partition at a time (the unit
+// ScanIter captures and orders), so the locks are held for a pass over a
+// partition, not over the range. It revalidates at every fill: the routing
+// snapshot is reloaded under the stripe (observing any install that landed
+// between batches) and the table pointer is re-checked under shard.mu
+// (restarting the chunk iterator at the resume key if a shadow retrain
+// swapped the table). Pinned-mode sources (View.Scan) must NOT touch
+// stripes — their caller already holds the covering stripes shared, and
+// re-acquiring would deadlock behind a queued writer — so they take only
+// shard.mu per batch. Prefetch fills run on fan-out pool workers and acquire
+// stripe/shard.mu in the same order; a fill never blocks on its consumer
+// (the batch hand-off channel always has room), so pool saturation degrades
+// to inline fills, never deadlock. A source whose cursor's row budget
+// (Limit) is met by a fill schedules no further one, and a closed source
+// returns to the shared pool only after its last fill has been drained.
 //
 // # Drift-triggered shard rebalancing
 //
@@ -990,6 +1002,31 @@ func (s *shard) read(fn func(*table.Table)) {
 // Reads: fan out across spanned shards and merge
 // ---------------------------------------------------------------------------
 
+// foldShards sums fn over the tables of the shards v routes [lo, hi] to —
+// the whole read path of an aggregate, which needs no key order and so no
+// merge, no row buffer and no cursor: each table folds its own partitions
+// (table.RangeCount/RangeSum/MultiRangeSum) under one shard.mu hold. A
+// one-shard span runs inline on the caller; a wider one fans out over the
+// pool. The caller holds the gate stripes covering the span (lockSpan or a
+// View), so v is frozen for the whole fold, and adds the staged-move
+// compensation itself. fn runs concurrently across shards and must be pure.
+func (e *Engine) foldShards(v *routeSnap, lo, hi int64, fn func(*table.Table) int64) int64 {
+	a, b := v.part.Span(lo, hi)
+	var sum int64
+	if a == b {
+		e.shards[a].read(func(t *table.Table) { sum = fn(t) })
+		return sum
+	}
+	parts := make([]int64, b-a+1)
+	e.pool.run(len(parts), func(i int) {
+		e.shards[a+i].read(func(t *table.Table) { parts[i] = fn(t) })
+	})
+	for _, p := range parts {
+		sum += p
+	}
+	return sum
+}
+
 // PointQuery returns the number of live rows with the given key (Q1).
 func (e *Engine) PointQuery(key int64) int {
 	tr := e.obs.OpBegin(obs.OpPointQuery, int(key))
@@ -1030,9 +1067,7 @@ func (e *Engine) RangeCount(lo, hi int64) int {
 }
 
 func (e *Engine) rangeCountAt(v *routeSnap, lo, hi int64) int {
-	n := int(e.streamFold(v, lo, hi, false, func(keys []int64, _ [][]int32) (int64, bool) {
-		return int64(len(keys)), false
-	}))
+	n := int(e.foldShards(v, lo, hi, func(t *table.Table) int64 { return int64(t.RangeCount(lo, hi)) }))
 	hits := 0
 	v.moves.forRange(lo, hi, func(*pendingMove) { n++; hits++ })
 	e.compHit(int(lo), hits)
@@ -1055,13 +1090,7 @@ func (e *Engine) RangeSum(lo, hi int64) int64 {
 }
 
 func (e *Engine) rangeSumAt(v *routeSnap, lo, hi int64) int64 {
-	sum := e.streamFold(v, lo, hi, false, func(keys []int64, _ [][]int32) (int64, bool) {
-		var s int64
-		for _, k := range keys {
-			s += k
-		}
-		return s, false
-	})
+	sum := e.foldShards(v, lo, hi, func(t *table.Table) int64 { return t.RangeSum(lo, hi) })
 	hits := 0
 	v.moves.forRange(lo, hi, func(m *pendingMove) { sum += m.old; hits++ })
 	e.compHit(int(lo), hits)
@@ -1084,19 +1113,7 @@ func (e *Engine) MultiRangeSum(lo, hi int64, filters []table.PayloadFilter, sumC
 }
 
 func (e *Engine) multiRangeSumAt(v *routeSnap, lo, hi int64, filters []table.PayloadFilter, sumCol int) int64 {
-	sum := e.streamFold(v, lo, hi, true, func(_ []int64, rows [][]int32) (int64, bool) {
-		var s int64
-	rowLoop:
-		for _, row := range rows {
-			for _, f := range filters {
-				if x := row[f.Col]; x < f.Lo || x > f.Hi {
-					continue rowLoop
-				}
-			}
-			s += int64(row[sumCol])
-		}
-		return s, false
-	})
+	sum := e.foldShards(v, lo, hi, func(t *table.Table) int64 { return t.MultiRangeSum(lo, hi, filters, sumCol) })
 	hits := 0
 	v.moves.forRange(lo, hi, func(m *pendingMove) {
 		hits++

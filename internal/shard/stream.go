@@ -1,13 +1,19 @@
-// Streaming read path: per-shard chunk-bounded scans feeding a k-way
-// loser-tree merge, consumed either through a Cursor (paginated, LIMIT,
-// resumable) or folded into an aggregate. See the package comment's
-// lock-order section for the scan locking contract; the short version is
-// that a streaming scan holds its gate stripe and shard lock only while
-// filling one batch, never across consumer yields.
+// Streaming read path: per-shard partition-bounded scans (table.ScanIter)
+// feeding a k-way loser-tree merge, consumed through a Cursor (paginated,
+// LIMIT, resumable). Only ordered consumers come here — aggregates need no
+// key order and fold per shard instead (Engine.foldShards). See the package
+// comment's lock-order section for the scan locking contract; the short
+// version is that a streaming scan holds its gate stripe and shard lock only
+// while filling one batch, never across consumer yields, and a batch is
+// drawn from one partition at a time: a LIMIT scan whose first batch meets
+// its row budget reads one partition once and never schedules a second
+// fill. Consistency is per-chunk, per-batch atomicity, as before.
 package shard
 
 import (
 	"fmt"
+	"math"
+	"sync"
 
 	"casper/internal/obs"
 	"casper/internal/table"
@@ -28,12 +34,11 @@ type sourceBuf struct {
 }
 
 // shardSource streams one shard's live rows with keys in [cursor, hi],
-// ascending, batch by batch. Two modes:
+// ascending, batch by batch, staged moves compensated in. Two modes:
 //
 //   - pinned (pinned != nil): the caller holds the gate stripes covering
-//     this shard (a View, or an aggregate's lockSpan) and the snapshot is
-//     frozen — fill touches no stripe and compensates from the pinned
-//     snapshot's move index.
+//     this shard (a View) and the snapshot is frozen — fill touches no
+//     stripe and compensates from the pinned snapshot's move index.
 //   - cursor (pinned == nil): fill acquires this shard's gate stripe shared
 //     for the duration of one batch only, releasing it before the consumer
 //     sees the rows, and adopts the routing snapshot current at each fill —
@@ -43,24 +48,29 @@ type sourceBuf struct {
 // duplicate run), so the resume cursor is always lastKey+1 and a batch's
 // staged-move compensation window (cursor, upTo] tiles the scanned range
 // exactly once per snapshot.
+//
+// Sources are recycled through sourcePool with their batch arenas, scratch
+// and hand-off channel, so a steady stream of scans allocates no buffers.
 type shardSource struct {
-	e          *Engine
-	si         int
-	hi         int64
-	cursor     int64
-	pinned     *routeSnap
-	withRows   bool
-	compensate bool
-	batch      int
+	e      *Engine
+	si     int
+	hi     int64
+	cursor int64
+	pinned *routeSnap
+	batch  int
+	// budget is the number of rows the cursor can still consume (its Limit
+	// less what it yielded; MaxInt when unlimited): the fill that meets it
+	// is the source's last, so no read-ahead is spent on rows nobody asks for.
+	budget int
 
 	it      *table.ScanIter
 	tbl     *table.Table
 	srcDone bool
 
-	// Read-ahead state (cursor consumers only): two batch buffers cycled
-	// through a capacity-1 channel. Exactly one fill is outstanding at a
-	// time, so fills are serialized and the channel hand-off provides the
-	// happens-before edge for the buffer contents.
+	// Read-ahead state: two batch buffers cycled through a capacity-1
+	// channel. Exactly one fill is outstanding at a time, so fills are
+	// serialized and the channel hand-off provides the happens-before edge
+	// for the buffer contents.
 	bufs    [2]sourceBuf
 	pre     chan *sourceBuf
 	pending bool
@@ -72,9 +82,10 @@ type shardSource struct {
 	moveR [][]int32
 }
 
+var sourcePool = sync.Pool{New: func() any { return &shardSource{pre: make(chan *sourceBuf, 1)} }}
+
 // fill produces the next batch into b. At most one fill per source runs at
-// a time (prefetch serializes through the hand-off channel; folds call it
-// directly from one goroutine).
+// a time (prefetch serializes through the hand-off channel).
 func (s *shardSource) fill(b *sourceBuf) {
 	b.keys, b.rows, b.done = nil, nil, false
 	if s.srcDone {
@@ -100,11 +111,7 @@ func (s *shardSource) fill(b *sourceBuf) {
 			if s.it != nil {
 				s.it.Close()
 			}
-			if s.withRows {
-				s.it = t.ScanRange(s.cursor, s.hi)
-			} else {
-				s.it = t.ScanRangeKeys(s.cursor, s.hi)
-			}
+			s.it = t.ScanRange(s.cursor, s.hi)
 			s.tbl = t
 		}
 		tableDone = !s.it.NextBatch(&b.rb, s.batch)
@@ -114,28 +121,23 @@ func (s *shardSource) fill(b *sourceBuf) {
 	if !tableDone {
 		upTo = b.rb.Keys[len(b.rb.Keys)-1]
 	}
+	// Staged moves whose rows are still visible at their old key on this
+	// shard, within this batch's window. Entries are claimed by the
+	// snapshot's own routing so that, under a pinned snapshot, every staged
+	// row lands in exactly one source's window.
 	s.moveK, s.moveR = s.moveK[:0], s.moveR[:0]
-	if s.compensate {
-		// Staged moves whose rows are still visible at their old key on
-		// this shard, within this batch's window. Entries are claimed by
-		// the snapshot's own routing so that, under a pinned snapshot,
-		// every staged row lands in exactly one source's window.
-		v.moves.forRange(s.cursor, upTo, func(m *pendingMove) {
-			if v.part.Shard(m.old) == s.si {
-				s.moveK = append(s.moveK, m.old)
-				if s.withRows {
-					s.moveR = append(s.moveR, m.row)
-				}
-			}
-		})
-	}
-	// Metrics: a batch yielded toward a cursor consumer (prefetch armed ⇔
-	// s.pre non-nil; folds fill inline and are counted by their own op) and
-	// any staged-move rows compensated into the batch window. Recording here
-	// is atomics-only and, in cursor mode, runs under the shared gate stripe
-	// — both allowed by the lock-order contract.
+	v.moves.forRange(s.cursor, upTo, func(m *pendingMove) {
+		if v.part.Shard(m.old) == s.si {
+			s.moveK = append(s.moveK, m.old)
+			s.moveR = append(s.moveR, m.row)
+		}
+	})
+	// Metrics: a batch yielded toward the cursor and any staged-move rows
+	// compensated into its window. Recording here is atomics-only and, in
+	// cursor mode, runs under the shared gate stripe — both allowed by the
+	// lock-order contract.
 	if o := s.e.obs; o.Enabled() {
-		if s.pre != nil && len(b.rb.Keys)+len(s.moveK) > 0 {
+		if len(b.rb.Keys)+len(s.moveK) > 0 {
 			o.CursorBatches.Inc(s.si)
 		}
 		if len(s.moveK) > 0 {
@@ -154,23 +156,21 @@ func (s *shardSource) fill(b *sourceBuf) {
 		for i < len(pk) || j < len(s.moveK) {
 			if j >= len(s.moveK) || (i < len(pk) && pk[i] <= s.moveK[j]) {
 				b.mk = append(b.mk, pk[i])
-				if s.withRows {
-					b.mr = append(b.mr, b.rb.Rows[i])
-				}
+				b.mr = append(b.mr, b.rb.Rows[i])
 				i++
 			} else {
 				b.mk = append(b.mk, s.moveK[j])
-				if s.withRows {
-					b.mr = append(b.mr, s.moveR[j])
-				}
+				b.mr = append(b.mr, s.moveR[j])
 				j++
 			}
 		}
 		b.keys, b.rows = b.mk, b.mr
 	}
-	if tableDone || upTo >= s.hi {
-		// Physical rows exhausted, or the batch ended exactly at hi (a
-		// duplicate run is never split, so nothing in range remains).
+	s.budget -= len(b.keys)
+	if tableDone || upTo >= s.hi || s.budget <= 0 {
+		// Physical rows exhausted, the batch ended exactly at hi (a
+		// duplicate run is never split, so nothing in range remains), or
+		// the cursor's row budget is met.
 		s.srcDone = true
 		b.done = true
 		return
@@ -178,12 +178,17 @@ func (s *shardSource) fill(b *sourceBuf) {
 	s.cursor = upTo + 1
 }
 
-// start arms the read-ahead pipeline: the first fill is scheduled on the
-// engine's fan-out pool immediately, so a k-source cursor prefetches all
-// shards in parallel before the first Next.
-func (s *shardSource) start() {
-	s.pre = make(chan *sourceBuf, 1)
+// openSource takes a source from the pool, aims it at shard si and arms the
+// read-ahead pipeline: the first fill is scheduled on the engine's fan-out
+// pool immediately, so a k-source cursor prefetches all shards in parallel
+// before the first Next.
+func (c *Cursor) openSource(si int, lo int64, batch, budget int) *shardSource {
+	s := sourcePool.Get().(*shardSource)
+	s.e, s.si, s.hi, s.cursor, s.pinned = c.e, si, c.hi, lo, c.pinned
+	s.batch, s.budget = batch, budget
+	s.srcDone, s.cur, s.curI = false, nil, 0
 	s.scheduleFill(&s.bufs[0])
+	return s
 }
 
 func (s *shardSource) scheduleFill(b *sourceBuf) {
@@ -202,11 +207,7 @@ func (s *shardSource) next() (int64, []int32, bool) {
 	for {
 		if s.cur != nil {
 			if s.curI < len(s.cur.keys) {
-				k := s.cur.keys[s.curI]
-				var r []int32
-				if s.withRows {
-					r = s.cur.rows[s.curI]
-				}
+				k, r := s.cur.keys[s.curI], s.cur.rows[s.curI]
 				s.curI++
 				return k, r, true
 			}
@@ -228,7 +229,9 @@ func (s *shardSource) next() (int64, []int32, bool) {
 }
 
 // close releases the source: it waits out any in-flight prefetch (which may
-// briefly hold the gate stripe) and recycles the table iterator.
+// briefly hold the gate stripe), recycles the table iterator and only then
+// returns the source to the pool — nobody else can be handed buffers a fill
+// is still writing. The source must not be used afterwards.
 func (s *shardSource) close() {
 	if s.pending {
 		<-s.pre
@@ -238,7 +241,8 @@ func (s *shardSource) close() {
 		s.it.Close()
 		s.it = nil
 	}
-	s.tbl = nil
+	s.e, s.tbl, s.pinned, s.cur = nil, nil, nil, nil
+	sourcePool.Put(s)
 }
 
 // ---------------------------------------------------------------------------
@@ -356,54 +360,6 @@ func (m *mergeIter) next() (int64, []int32, bool) {
 }
 
 // ---------------------------------------------------------------------------
-// Streaming aggregates
-// ---------------------------------------------------------------------------
-
-// streamFold drains a pinned streaming scan of [lo, hi] over every spanned
-// shard in parallel (one drain per fan-out worker) and sums the fold
-// results. fn receives each batch's keys (and rows when withRows) and
-// returns its contribution plus a stop flag; stop ends that shard's drain
-// early — the early-exit path of LIMIT-shaped folds — without affecting the
-// other shards. fn runs concurrently across shards and must be pure.
-//
-// The caller holds gate stripes covering the span of v (lockSpan or a
-// View), so the snapshot is frozen for the whole fold; staged-move
-// compensation stays with the caller, exactly as with the materialized
-// fan-out this replaces.
-func (e *Engine) streamFold(v *routeSnap, lo, hi int64, withRows bool, fn func(keys []int64, rows [][]int32) (int64, bool)) int64 {
-	a, b := v.part.Span(lo, hi)
-	parts := make([]int64, b-a+1)
-	e.pool.run(len(parts), func(i int) {
-		src := &shardSource{
-			e: e, si: a + i, hi: hi, cursor: lo,
-			pinned: v, withRows: withRows, batch: table.DefaultScanBatch,
-		}
-		defer src.close()
-		var buf sourceBuf
-		var acc int64
-		for {
-			src.fill(&buf)
-			if len(buf.keys) > 0 {
-				d, stop := fn(buf.keys, buf.rows)
-				acc += d
-				if stop {
-					break
-				}
-			}
-			if buf.done {
-				break
-			}
-		}
-		parts[i] = acc
-	})
-	var sum int64
-	for _, p := range parts {
-		sum += p
-	}
-	return sum
-}
-
-// ---------------------------------------------------------------------------
 // Cursors
 // ---------------------------------------------------------------------------
 
@@ -515,27 +471,27 @@ func (e *Engine) newCursor(lo, hi int64, opts ScanOptions, pinned *routeSnap) *C
 
 // open builds the per-shard sources and merge at resume key lo, then
 // discards skip rows with key exactly lo (the duplicates a page token
-// recorded as already yielded).
+// recorded as already yielded). Each source's row budget is what Limit
+// still allows plus the rows about to be skipped.
 func (c *Cursor) open(lo int64, skip int) {
 	v := c.pinned
 	if v == nil {
 		v = c.e.loadRoute()
 	}
 	a, b := v.part.Span(lo, c.hi)
-	batch := c.opts.Batch
+	batch, budget := c.opts.Batch, math.MaxInt
 	if batch <= 0 {
 		batch = table.DefaultScanBatch
 	}
-	if c.opts.Limit > 0 && c.opts.Limit < batch {
-		batch = c.opts.Limit
+	if c.opts.Limit > 0 {
+		if budget = c.opts.Limit - c.yielded + skip; budget <= 0 {
+			c.done = true
+			return
+		}
+		batch = min(batch, budget)
 	}
 	for si := a; si <= b; si++ {
-		s := &shardSource{
-			e: c.e, si: si, hi: c.hi, cursor: lo,
-			pinned: c.pinned, withRows: true, compensate: true, batch: batch,
-		}
-		s.start()
-		c.srcs = append(c.srcs, s)
+		c.srcs = append(c.srcs, c.openSource(si, lo, batch, budget))
 	}
 	ms := make([]mergeSource, len(c.srcs))
 	for i, s := range c.srcs {

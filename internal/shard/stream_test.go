@@ -1,8 +1,8 @@
 package shard
 
-// Streaming read-path suite: oracle equivalence of the stream folds and
-// cursors against the materialized fan-out baseline (quiescent and under
-// concurrent cross-shard moves and rebalance installs), cursor pagination
+// Streaming read-path suite: oracle equivalence of the aggregates and
+// cursors against a brute-force fold over the row multiset (quiescent and
+// under concurrent cross-shard moves and rebalance installs), cursor pagination
 // semantics (LIMIT, page tokens, SeekTo), the loser-tree merge, and the
 // drift-monitor attribution of Q8 scans.
 
@@ -12,7 +12,6 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,20 +19,37 @@ import (
 	"casper/internal/workload"
 )
 
-// fanOut is the materialized reference read path the oracle-equivalence
-// tests compare the streaming folds against: fn runs over each of shards
-// [a, b] as a whole (on the engine's worker pool when it has CPUs) and the
-// per-shard results are summed. Production reads go through streamFold only.
-func (e *Engine) fanOut(a, b int, fn func(*table.Table) int64) int64 {
-	parts := make([]int64, b-a+1)
-	e.pool.run(len(parts), func(i int) {
-		e.shards[a+i].read(func(t *table.Table) { parts[i] = fn(t) })
-	})
-	var sum int64
-	for _, v := range parts {
-		sum += v
+// bruteAggregates is the reference the oracle-equivalence tests compare the
+// production aggregates against: the RangeCount, RangeSum and
+// MultiRangeSum(filters, sumCol) of [lo, hi] under v. It shares nothing with
+// them: every shard's full row multiset (table.Snapshot — the ordered scan
+// path, not table.Range*) plus the rows staged in v's move index goes
+// through one plain loop. The caller holds every gate stripe (a View), so
+// the multiset is frozen against moves and installs.
+func (e *Engine) bruteAggregates(v *routeSnap, lo, hi int64, filters []table.PayloadFilter, sumCol int) (count int, sum, multi int64) {
+	fold := func(k int64, row []int32) {
+		if k < lo || k > hi {
+			return
+		}
+		count++
+		sum += k
+		for _, f := range filters {
+			if x := row[f.Col]; x < f.Lo || x > f.Hi {
+				return
+			}
+		}
+		multi += int64(row[sumCol])
 	}
-	return sum
+	for _, s := range e.shards {
+		s.read(func(t *table.Table) {
+			keys, rows := t.Snapshot()
+			for i, k := range keys {
+				fold(k, rows[i])
+			}
+		})
+	}
+	v.moves.forRange(lo, hi, func(m *pendingMove) { fold(m.old, m.row) })
+	return count, sum, multi
 }
 
 func streamTestEngine(t *testing.T, n int, shards int, byRange bool) (*Engine, []int64) {
@@ -74,8 +90,8 @@ func drainCursor(t *testing.T, c *Cursor) ([]int64, [][]int32) {
 
 // TestScanMatchesMaterialized checks, quiescent, on both partitioning
 // schemes, that a full cursor drain is byte-equal to the brute-force
-// expectation, and that the stream-folded aggregates equal the retained
-// materialized fan-out.
+// expectation, and that the per-partition aggregates equal a brute-force
+// fold over the shards' row multiset.
 func TestScanMatchesMaterialized(t *testing.T) {
 	for _, byRange := range []bool{false, true} {
 		e, keys := streamTestEngine(t, 2_000, 4, byRange)
@@ -116,23 +132,21 @@ func TestScanMatchesMaterialized(t *testing.T) {
 					}
 				}
 			}
-			// Aggregate folds vs the materialized baseline under one snapshot.
+			// Aggregates vs the brute-force reference under one snapshot.
+			if hi < lo {
+				continue
+			}
+			filters := []table.PayloadFilter{{Col: 0, Lo: 100, Hi: 1_200}}
 			e.View(func(v *View) {
-				a, b := v.v.part.Span(lo, hi)
-				if hi < lo {
-					return
+				wantC, wantS, wantM := e.bruteAggregates(v.v, lo, hi, filters, 1)
+				if got := v.RangeCount(lo, hi); got != wantC {
+					t.Fatalf("byRange=%v [%d,%d]: RangeCount=%d brute force=%d", byRange, lo, hi, got, wantC)
 				}
-				matC := e.fanOut(a, b, func(t *table.Table) int64 { return int64(t.RangeCount(lo, hi)) })
-				if got := v.RangeCount(lo, hi); int64(got) != matC {
-					t.Fatalf("byRange=%v: stream RangeCount=%d materialized=%d", byRange, got, matC)
+				if got := v.RangeSum(lo, hi); got != wantS {
+					t.Fatalf("byRange=%v [%d,%d]: RangeSum=%d brute force=%d", byRange, lo, hi, got, wantS)
 				}
-				matS := e.fanOut(a, b, func(t *table.Table) int64 { return t.RangeSum(lo, hi) })
-				if got := v.RangeSum(lo, hi); got != matS {
-					t.Fatalf("byRange=%v: stream RangeSum=%d materialized=%d", byRange, got, matS)
-				}
-				matM := e.fanOut(a, b, func(t *table.Table) int64 { return t.MultiRangeSum(lo, hi, nil, 1) })
-				if got := v.MultiRangeSum(lo, hi, nil, 1); got != matM {
-					t.Fatalf("byRange=%v: stream MultiRangeSum=%d materialized=%d", byRange, got, matM)
+				if got := v.MultiRangeSum(lo, hi, filters, 1); got != wantM {
+					t.Fatalf("byRange=%v [%d,%d]: MultiRangeSum=%d brute force=%d", byRange, lo, hi, got, wantM)
 				}
 			})
 		}
@@ -141,9 +155,9 @@ func TestScanMatchesMaterialized(t *testing.T) {
 
 // TestStreamOracleViewPinned is the concurrency oracle: while movers
 // ping-pong cross-shard pairs and a rebalancer alternates boundary
-// installs, every View must observe stream aggregates equal to the
-// materialized fan-out plus staged-move compensation computed under the
-// same pinned snapshot, and two cursor drains inside one View must be
+// installs, every View must observe aggregates equal to the brute-force
+// fold (shard multisets plus staged rows) computed under the same pinned
+// snapshot, and two cursor drains inside one View must be
 // byte-identical.
 func TestStreamOracleViewPinned(t *testing.T) {
 	e, _ := streamTestEngine(t, 3_000, 4, true)
@@ -200,16 +214,12 @@ func TestStreamOracleViewPinned(t *testing.T) {
 	for time.Now().Before(deadline) {
 		lo, hi := int64(500), int64(1_010_000)
 		e.View(func(v *View) {
-			a, b := v.v.part.Span(lo, hi)
-			matC := e.fanOut(a, b, func(t *table.Table) int64 { return int64(t.RangeCount(lo, hi)) })
-			v.v.moves.forRange(lo, hi, func(*pendingMove) { matC++ })
-			if got := v.RangeCount(lo, hi); int64(got) != matC {
-				t.Errorf("view: stream RangeCount=%d materialized=%d", got, matC)
+			matC, matS, _ := e.bruteAggregates(v.v, lo, hi, nil, 0)
+			if got := v.RangeCount(lo, hi); got != matC {
+				t.Errorf("view: RangeCount=%d brute force=%d", got, matC)
 			}
-			matS := e.fanOut(a, b, func(t *table.Table) int64 { return t.RangeSum(lo, hi) })
-			v.v.moves.forRange(lo, hi, func(m *pendingMove) { matS += m.old })
 			if got := v.RangeSum(lo, hi); got != matS {
-				t.Errorf("view: stream RangeSum=%d materialized=%d", got, matS)
+				t.Errorf("view: RangeSum=%d brute force=%d", got, matS)
 			}
 
 			c1 := v.Scan(lo, hi, ScanOptions{Batch: 64})
@@ -218,7 +228,7 @@ func TestStreamOracleViewPinned(t *testing.T) {
 			c2 := v.Scan(lo, hi, ScanOptions{Batch: 512})
 			k2, r2 := drainCursor(t, c2)
 			c2.Close()
-			if len(k1) != len(k2) || int64(len(k1)) != matC {
+			if len(k1) != len(k2) || len(k1) != matC {
 				t.Errorf("view drains: %d and %d rows, materialized %d", len(k1), len(k2), matC)
 				return
 			}
@@ -390,23 +400,157 @@ func TestCursorLimitSeekAndTokens(t *testing.T) {
 	c.Close()
 }
 
-// TestStreamFoldEarlyExit pins the early-exit path: a fold that stops after
-// its first batch visits at most one batch per shard.
-func TestStreamFoldEarlyExit(t *testing.T) {
-	e, _ := streamTestEngine(t, 4_000, 4, false)
-	var batches atomic.Int64
-	e.rlockAll()
-	v := e.loadRoute()
-	got := e.streamFold(v, math.MinInt64, math.MaxInt64, false, func(keys []int64, _ [][]int32) (int64, bool) {
-		batches.Add(1)
-		return int64(len(keys)), true
-	})
-	e.runlockAll()
-	if b := batches.Load(); b > int64(len(e.shards)) {
-		t.Fatalf("early-exit fold ran %d batches across %d shards", b, len(e.shards))
+// TestLimitScanFillsOnce pins the row budget: a LIMIT-10 scan on a one-shard
+// span is served by exactly one batch fill — the first batch already holds
+// the ten rows, so no read-ahead is scheduled behind it and Close has
+// nothing to wait for. The same holds when a page token adds skipped
+// duplicates to the budget.
+func TestLimitScanFillsOnce(t *testing.T) {
+	e, _ := streamTestEngine(t, 4_000, 4, true)
+	for i := 0; i < 6; i++ {
+		e.Insert(300)
 	}
-	if got <= 0 || got > int64(len(e.shards))*int64(table.DefaultScanBatch) {
-		t.Fatalf("early-exit fold folded %d rows, want within one batch per shard", got)
+	e.EnableObs()
+	defer e.DisableObs()
+	lo, hi := int64(0), int64(2_000)
+	if a, b := e.Partitioner().Span(lo, hi); a != b {
+		t.Fatalf("span [%d,%d] covers shards %d..%d, want one", lo, hi, a, b)
+	}
+	for _, tok := range []string{"", "s1:300:4"} {
+		before := e.Metrics().CursorBatches
+		c := e.Scan(lo, hi, ScanOptions{Limit: 10, PageToken: tok})
+		ks, _ := drainCursor(t, c)
+		c.Close()
+		if len(ks) != 10 {
+			t.Fatalf("token %q: LIMIT 10 yielded %d rows", tok, len(ks))
+		}
+		if got := e.Metrics().CursorBatches - before; got != 1 {
+			t.Fatalf("token %q: LIMIT-10 scan on a one-shard span filled %d batches, want exactly 1", tok, got)
+		}
+	}
+}
+
+// TestPooledSourcesNeverAlias interleaves cursors whose sources come from
+// the shared pool and closes them out of order: a Payload slice handed out
+// by an open cursor must keep its row while other cursors advance, close
+// and are replaced by new ones drawing recycled buffers. Every seeded key
+// carries its default payload, so any aliasing shows as a foreign row (and,
+// under -race, as a write by the other cursor's prefetch).
+func TestPooledSourcesNeverAlias(t *testing.T) {
+	e, _ := streamTestEngine(t, 2_000, 4, false)
+	check := func(c *Cursor, row []int32) {
+		t.Helper()
+		for col, v := range row {
+			if v != table.DefaultPayload(c.Key(), col) {
+				t.Fatalf("payload of key %d col %d reads %d: buffer shared with another cursor", c.Key(), col, v)
+			}
+		}
+	}
+	open := func(lo int64) *Cursor { return e.Scan(lo, math.MaxInt64, ScanOptions{Batch: 16}) }
+	cs := []*Cursor{open(0), open(900), open(1_800)}
+	for round := 0; round < 40; round++ {
+		for step := 0; step < 50; step++ {
+			var held [][]int32
+			for _, c := range cs {
+				if !c.Next() {
+					t.Fatalf("cursor ran dry in round %d", round)
+				}
+				held = append(held, c.Payload())
+			}
+			for i, c := range cs { // every other cursor has advanced since
+				check(c, held[i])
+			}
+		}
+		// Close one cursor out of order and replace it: the newcomer is
+		// handed the sources just released while the others are mid-batch.
+		victim := round % len(cs)
+		cs[victim].Close()
+		cs[victim] = open(int64(round * 30))
+	}
+	for _, c := range cs {
+		c.Close()
+	}
+}
+
+// TestAggregatesCountStagedRowsOnce holds a cross-shard move open between
+// its stage and publish windows and checks, for spans of one shard and of
+// the whole fleet, that the per-shard folds plus the caller-side
+// compensation count the moving row exactly once: at its old key, with its
+// payload, and nowhere else.
+func TestAggregatesCountStagedRowsOnce(t *testing.T) {
+	e, keys := streamTestEngine(t, 3_000, 4, true)
+	old, dst := int64(1_000_001), int64(1) // last and first shard; neither is a multiple of 3
+	if p := e.Partitioner(); p.Shard(old) == p.Shard(dst) {
+		t.Fatalf("pair (%d,%d) landed on one shard", old, dst)
+	}
+	e.Insert(old)
+	filters := []table.PayloadFilter{{Col: 1, Lo: math.MinInt32, Hi: math.MaxInt32}}
+	checked := false
+	e.betweenMoveWindows = func() {
+		checked = true
+		for _, r := range [][2]int64{
+			{old - 10, old + 10},           // one shard: the source, staged row only
+			{dst - 1, dst + 10},            // one shard: the destination, row not yet there
+			{math.MinInt64, math.MaxInt64}, // every shard
+			{keys[len(keys)/2], old},       // upper shards
+		} {
+			lo, hi := r[0], r[1]
+			e.View(func(v *View) {
+				wantC, wantS, wantM := e.bruteAggregates(v.v, lo, hi, filters, 0)
+				if got := v.RangeCount(lo, hi); got != wantC {
+					t.Errorf("mid-move [%d,%d]: RangeCount=%d, brute force %d", lo, hi, got, wantC)
+				}
+				if got := v.RangeSum(lo, hi); got != wantS {
+					t.Errorf("mid-move [%d,%d]: RangeSum=%d, brute force %d", lo, hi, got, wantS)
+				}
+				if got := v.MultiRangeSum(lo, hi, filters, 0); got != wantM {
+					t.Errorf("mid-move [%d,%d]: MultiRangeSum=%d, brute force %d", lo, hi, got, wantM)
+				}
+			})
+		}
+		if got := e.RangeCount(old-10, old+10); got != 1 {
+			t.Errorf("mid-move: RangeCount around the old key = %d, want 1 (staged row)", got)
+		}
+		if got := e.RangeSum(old-10, old+10); got != old {
+			t.Errorf("mid-move: RangeSum around the old key = %d, want %d", got, old)
+		}
+		if got := e.MultiRangeSum(old-10, old+10, filters, 0); got != int64(table.DefaultPayload(old, 0)) {
+			t.Errorf("mid-move: MultiRangeSum around the old key = %d, want the staged row's payload", got)
+		}
+		if got := e.RangeCount(dst, dst); got != 0 {
+			t.Errorf("mid-move: RangeCount(new key) = %d, want 0 (not yet published)", got)
+		}
+		if got := e.RangeCount(math.MinInt64, math.MaxInt64); got != len(keys)+1 {
+			t.Errorf("mid-move: fleet-wide RangeCount = %d, want %d", got, len(keys)+1)
+		}
+	}
+	if err := e.UpdateKey(old, dst); err != nil {
+		t.Fatal(err)
+	}
+	if !checked {
+		t.Fatal("betweenMoveWindows seam never ran")
+	}
+	if got := e.RangeCount(math.MinInt64, math.MaxInt64); got != len(keys)+1 {
+		t.Errorf("after publish: fleet-wide RangeCount = %d, want %d", got, len(keys)+1)
+	}
+}
+
+// TestRangeSumAllocations pins the aggregate read path's footprint: on a
+// one-shard span RangeSum folds inline — no pool hand-off, no goroutine, no
+// buffer — and allocates at most the fold closure.
+func TestRangeSumAllocations(t *testing.T) {
+	e, _ := streamTestEngine(t, 4_000, 4, true)
+	lo, hi := int64(30), int64(2_400)
+	if a, b := e.Partitioner().Span(lo, hi); a != b {
+		t.Fatalf("span [%d,%d] covers shards %d..%d, want one", lo, hi, a, b)
+	}
+	want := e.RangeSum(lo, hi)
+	if allocs := testing.AllocsPerRun(200, func() {
+		if e.RangeSum(lo, hi) != want {
+			t.Error("RangeSum changed between runs")
+		}
+	}); allocs > 2 {
+		t.Fatalf("RangeSum on a one-shard span allocates %.0f times per call, want <= 2", allocs)
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"casper/internal/workload"
 )
 
 // refRange returns the expected (keys, rows) of a [lo, hi] scan by brute
@@ -228,6 +230,181 @@ func TestSnapshotMatchesLegacyOrder(t *testing.T) {
 		for i := range keys {
 			if keys[i] != k2[i] || !rowsEqual(rows[i], r2[i]) {
 				t.Fatalf("%v: round-trip mismatch at %d", mode, i)
+			}
+		}
+	}
+}
+
+// TestScanSelectThenSortMatchesReference drains ScanRange in every layout
+// mode with batch sizes on both sides of the selection threshold and stops
+// (a LIMIT) before, on and after the point where the first, selected
+// capture of a partition runs out and the second visit sorts the rest. A
+// 500-row duplicate run sits a few keys above the scan's lower bound, so the
+// selection cut of the larger batches lands inside it and must take the run
+// whole. Keys must equal the brute-force sorted reference, the run's rows
+// must be exactly the inserted ones, and row order — duplicates included —
+// must be identical whatever the batch size.
+func TestScanSelectThenSortMatchesReference(t *testing.T) {
+	const dups = 500
+	base := workload.UniformKeys(6000, 60_000, 5)
+	present := make(map[int64]bool, len(base))
+	for _, k := range base {
+		present[k] = true
+	}
+	sorted := append([]int64(nil), base...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	lo := sorted[700]
+	dupKey := sorted[704] + 1 // four or five distinct keys above lo
+	for present[dupKey] {
+		dupKey++
+	}
+	var ref []int64
+	for _, k := range sorted {
+		if k >= lo {
+			ref = append(ref, k)
+		}
+	}
+	for i := 0; i < dups; i++ {
+		ref = append(ref, dupKey)
+	}
+	sort.Slice(ref, func(i, j int) bool { return ref[i] < ref[j] })
+
+	for _, mode := range Modes() {
+		cfg := Config{Mode: mode, PayloadCols: 4, ChunkValues: 4096, BlockValues: 64, Partitions: 2}
+		tb, err := New(base, cfg, nil)
+		if err != nil {
+			t.Fatalf("New(%v): %v", mode, err)
+		}
+		for i := 0; i < dups; i++ {
+			tb.InsertRow(dupKey, []int32{int32(i), 7, 7, 7})
+		}
+		var canon [][]int32 // row order of the first full drain
+		for _, batch := range []int{1, 7, 256, 0} {
+			eb := batch
+			if eb == 0 {
+				eb = DefaultScanBatch
+			}
+			for _, limit := range []int{eb - 1, eb, eb + 1, 3 * eb, len(ref)} {
+				it := tb.ScanRange(lo, math.MaxInt64)
+				buf := &RowBuf{}
+				var keys []int64
+				var rows [][]int32
+				for len(keys) < limit && it.NextBatch(buf, batch) {
+					keys = append(keys, buf.Keys...)
+					for _, r := range buf.Rows {
+						rows = append(rows, append([]int32(nil), r...))
+					}
+				}
+				it.Close()
+				if len(keys) < min(limit, len(ref)) {
+					t.Fatalf("%v batch=%d limit=%d: scan ended after %d of %d rows", mode, batch, limit, len(keys), len(ref))
+				}
+				seen := make(map[int32]bool)
+				for i, k := range keys {
+					if k != ref[i] {
+						t.Fatalf("%v batch=%d limit=%d: key[%d]=%d, reference %d", mode, batch, limit, i, k, ref[i])
+					}
+					if k == dupKey {
+						if rows[i][1] != 7 || seen[rows[i][0]] {
+							t.Fatalf("%v batch=%d limit=%d: duplicate-run row %v repeated or foreign", mode, batch, limit, rows[i])
+						}
+						seen[rows[i][0]] = true
+					} else if rows[i][2] != DefaultPayload(k, 2) {
+						t.Fatalf("%v batch=%d limit=%d: row[%d] of key %d = %v", mode, batch, limit, i, k, rows[i])
+					}
+				}
+				if n := len(seen); n != 0 && n != dups {
+					t.Fatalf("%v batch=%d limit=%d: duplicate run split, %d of %d rows in the batches", mode, batch, limit, n, dups)
+				}
+				if canon == nil && len(keys) == len(ref) {
+					canon = rows
+				}
+				for i := range rows {
+					if canon != nil && !rowsEqual(rows[i], canon[i]) {
+						t.Fatalf("%v batch=%d limit=%d: row[%d]=%v, batch=1 drain yielded %v", mode, batch, limit, i, rows[i], canon[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFirstBatchReadsOnePartition is the counted form of "LIMIT 10 stops
+// paying for the rest of the range": on a trained multi-partition chunk the
+// first NextBatch(buf, 10) of a chunk-wide scan may raise the column's
+// ValuesScanned by at most the size of the partition owning the scan's lower
+// bound (the previous capture read every partition of the range).
+func TestFirstBatchReadsOnePartition(t *testing.T) {
+	keys := make([]int64, 4096)
+	for i := range keys {
+		keys[i] = int64(3 * i)
+	}
+	tb, err := New(keys, Config{Mode: Casper, PayloadCols: 2, ChunkValues: 8192, BlockValues: 32, Partitions: 16}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sample []workload.Op
+	for i := 0; i < 4000; i++ {
+		sample = append(sample, workload.Op{Kind: workload.Q1PointQuery, Key: int64(3 * ((i * 37) % 4096))})
+	}
+	if err := tb.TrainLayout(sample, 1); err != nil {
+		t.Fatal(err)
+	}
+	col := tb.chunks[0].casperCol
+	sizes := col.PartitionSizes()
+	if len(sizes) != 16 {
+		t.Fatalf("trained chunk has %d partitions, want the full budget of 16", len(sizes))
+	}
+	for _, lo := range []int64{0, keys[1000], keys[3000]} {
+		owner := sizes[col.FindPartition(lo)]
+		before := col.Stats().ValuesScanned
+		it := tb.ScanRange(lo, math.MaxInt64)
+		buf := &RowBuf{}
+		if !it.NextBatch(buf, 10) || buf.Len() != 10 || buf.Keys[0] != lo {
+			t.Fatalf("lo=%d: first batch %v", lo, buf.Keys)
+		}
+		it.Close()
+		if got := col.Stats().ValuesScanned - before; got > int64(owner) {
+			t.Fatalf("lo=%d: first batch of 10 visited %d values, owning partition holds %d", lo, got, owner)
+		}
+	}
+}
+
+// TestMultiRangeSumPositional checks the select-then-probe MultiRangeSum
+// against a row-wise reference over the Snapshot, with 0, 1 and 3 payload
+// filters, in every layout mode and after writes have shuffled positions.
+func TestMultiRangeSumPositional(t *testing.T) {
+	for _, mode := range Modes() {
+		tb := buildTable(t, mode, 3000)
+		rng := rand.New(rand.NewSource(3))
+		for i := 0; i < 300; i++ {
+			tb.InsertRow(rng.Int63n(30_000), []int32{int32(rng.Intn(100)), int32(rng.Intn(100)), int32(i), -1})
+			_ = tb.Delete(rng.Int63n(30_000))
+			_ = tb.UpdateKey(rng.Int63n(30_000), rng.Int63n(30_000))
+		}
+		keys, rows := tb.Snapshot()
+		for _, filters := range [][]PayloadFilter{
+			nil,
+			{{Col: 0, Lo: 10, Hi: 20_000}},
+			{{Col: 0, Lo: 0, Hi: 25_000}, {Col: 1, Lo: 40, Hi: 22_000}, {Col: 3, Lo: -1, Hi: 9_000}},
+		} {
+			for _, r := range [][2]int64{{math.MinInt64, math.MaxInt64}, {2_000, 21_000}, {15_000, 15_400}, {9, 3}} {
+				var want int64
+			rowLoop:
+				for i, k := range keys {
+					if k < r[0] || k > r[1] {
+						continue
+					}
+					for _, f := range filters {
+						if x := rows[i][f.Col]; x < f.Lo || x > f.Hi {
+							continue rowLoop
+						}
+					}
+					want += int64(rows[i][2])
+				}
+				if got := tb.MultiRangeSum(r[0], r[1], filters, 2); got != want {
+					t.Fatalf("%v %d filters [%d,%d]: MultiRangeSum=%d, row-wise reference %d", mode, len(filters), r[0], r[1], got, want)
+				}
 			}
 		}
 	}

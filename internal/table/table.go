@@ -117,6 +117,11 @@ type store interface {
 	RangeCount(lo, hi int64) int
 	RangeSum(lo, hi int64) int64
 	RangePositions(lo, hi int64, buf []int) []int
+	// Fence returns the largest key stored together with v — the upper
+	// bound of v's partition, MaxInt64 for its last partition or for a
+	// layout without partitions — so ScanIter captures one partition at a
+	// time without knowing the layout.
+	Fence(v int64) int64
 	Insert(v int64) int
 	Delete(v int64) error
 	Update(old, new int64) (int, error)
@@ -426,30 +431,39 @@ type PayloadFilter struct {
 
 // MultiRangeSum executes a TPC-H-Q6-shaped query: select rows with key in
 // [lo, hi] whose payload columns pass all filters, returning the sum of
-// payload column sumCol over qualifying rows (Fig. 1's range query).
+// payload column sumCol over qualifying rows (Fig. 1's range query). It is
+// the select-then-probe plan of §3: the key column yields qualifying
+// positions and the payload columns are probed at those positions, chunk by
+// chunk — no ordering and no row copy, since a sum needs neither.
 func (t *Table) MultiRangeSum(lo, hi int64, filters []PayloadFilter, sumCol int) int64 {
 	if hi < lo {
 		return 0
 	}
-	it := t.ScanRange(lo, hi)
-	defer it.Close()
-	buf := getRowBuf()
-	defer putRowBuf(buf)
+	a, b := t.chunkRange(lo, hi)
+	buf := posBufPool.Get().(*[]int)
 	var sum int64
-	for it.NextBatch(buf, DefaultScanBatch) {
-	rowLoop:
-		for _, row := range buf.Rows {
+	for i := a; i <= b; i++ {
+		ck := t.chunks[i]
+		ck.mu.RLock()
+		*buf = ck.store.RangePositions(lo, hi, (*buf)[:0])
+		cols := ck.mover.cols
+	posLoop:
+		for _, pos := range *buf {
 			for _, f := range filters {
-				x := row[f.Col]
-				if x < f.Lo || x > f.Hi {
-					continue rowLoop
+				if x := cols[f.Col][pos]; x < f.Lo || x > f.Hi {
+					continue posLoop
 				}
 			}
-			sum += int64(row[sumCol])
+			sum += int64(cols[sumCol][pos])
 		}
+		ck.mu.RUnlock()
 	}
+	posBufPool.Put(buf)
 	return sum
 }
+
+// posBufPool recycles MultiRangeSum's position scratch.
+var posBufPool = sync.Pool{New: func() any { return new([]int) }}
 
 // Insert executes Q4, generating the payload row with gen semantics of
 // construction time (DefaultPayload).
