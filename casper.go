@@ -42,19 +42,20 @@
 // On range-partitioned engines (Options.ShardByRange) the same loop extends
 // across the shard boundary: when the key distribution drifts so far that
 // one shard holds a disproportionate share of the rows, Rebalance (or the
-// StartAutoRebalance worker) re-splits the shard boundaries on the current
-// quantiles and migrates rows between shards through the staged-move
-// protocol — concurrent readers observe every row on exactly one shard
-// throughout, and on durable engines the boundary change survives crashes.
+// StartAutoRebalance worker) re-splits the boundaries of the overloaded
+// shards and migrates rows between shards — concurrent readers observe every
+// row on exactly one shard throughout, and on durable engines the boundary
+// change survives crashes.
 //
-// Cross-shard key moves (UpdateKey between shards) commit through an
-// epoch-based protocol: the engine keeps a global epoch counter — shared
-// with the transaction manager, so commits and moves draw from one time
-// domain — and every query reads under a stable epoch. A moving row is
-// staged out of its source shard and published into its destination with a
-// single epoch bump, so a concurrent reader observes it on exactly one
-// shard at all times. View pins move visibility across several queries when
-// an invariant spans more than one call.
+// Every row that changes shard does so through one row-migration protocol:
+// a rebalance migrates the rows whose owner changes, and a cross-shard
+// UpdateKey is a one-row migration. The engine keeps a global epoch counter
+// — shared with the transaction manager, so commits and migrations draw from
+// one time domain — and every query reads under a stable epoch. A migrating
+// row is staged out of its source shard and published into its destination
+// with a single epoch bump, so a concurrent reader observes it on exactly
+// one shard at all times. View pins move visibility across several queries
+// when an invariant spans more than one call.
 //
 // # One encoding per concept
 //
@@ -74,7 +75,7 @@
 //	Writer, PendingBatch             shard.Writer, shard.Pending
 //	LayoutSummary, PendingMove       shard.LayoutSummary, shard.PendingMove
 //	RetrainPolicy, RebalancePolicy   shard.RetrainPolicy, shard.RebalancePolicy
-//	RebalanceResult, -Strategy       shard.RebalanceResult, shard.RebalanceStrategy
+//	RebalanceResult                  shard.RebalanceResult
 //	AdmissionPolicy                  shard.AdmissionPolicy
 //	Snapshot, Event, OpStats, …      obs.Snapshot, obs.Event, obs.OpStats, …
 //
@@ -364,10 +365,12 @@ func (e *Engine) Insert(key int64) { e.sh.Insert(key) }
 func (e *Engine) Delete(key int64) error { return e.sh.Delete(key) }
 
 // UpdateKey changes one row's key, preserving its payload (Q6). When the
-// old and new keys live on different shards the move commits through the
-// engine's epoch-based cross-shard protocol: a concurrent reader observes
-// the row on exactly one shard at all times — never on neither, never on
-// both, and never with a torn payload.
+// old and new keys live on different shards the update is a one-row
+// migration between them: a concurrent reader observes the row on exactly
+// one shard at all times — never on neither, never on both, and never with
+// a torn payload. Migrations run one at a time, so an update of a row that
+// an in-flight rebalance has parked waits for that rebalance to install its
+// boundaries and then moves the row.
 func (e *Engine) UpdateKey(old, new int64) error { return e.sh.UpdateKey(old, new) }
 
 // Writer is a tenant-scoped write handle: writes submitted through it pass
@@ -674,49 +677,28 @@ func (e *Engine) Retrains() uint64 { return e.sh.Retrains() }
 // window.
 type RebalanceResult = shard.RebalanceResult
 
-// RebalanceStrategy selects the boundary proposer used by Rebalance,
-// RebalanceWith, and the auto-rebalancer.
-type RebalanceStrategy = shard.RebalanceStrategy
-
-const (
-	// RebalanceMinimal (the default) re-splits only the shards breaching
-	// the skew bound, plus the neighbors absorbing their load; every other
-	// boundary stays bit-identical, so migration volume and the
-	// publish-window pause track the drift size rather than the table size.
-	RebalanceMinimal = shard.RebalanceMinimal
-	// RebalanceQuantile re-splits every boundary on the global quantiles —
-	// the exhaustive baseline.
-	RebalanceQuantile = shard.RebalanceQuantile
-)
-
 // Rebalance re-splits the shard boundaries of a range-partitioned engine
 // (Options.ShardByRange) on the current key distribution and migrates rows
 // so every shard owns its new range, under the minimal-movement proposer:
 // only the shards breaching the skew bound re-split (starved neighbors
 // absorb their load), every other boundary stays bit-identical, and only
 // rows in intervals whose owner actually changes migrate — a no-op when no
-// shard breaches. Rows migrate through the engine's staged-move protocol:
+// shard breaches. Rows migrate through the engine's row-migration protocol:
 // concurrent readers observe every row on exactly one shard throughout, and
 // reads keep flowing except during bounded exclusive windows (the last one
-// reported as Pause). Writes keep flowing with one caveat shared with
-// cross-shard moves: a Delete or UpdateKey targeting a row currently in
-// flight fails with "absent key" until the rebalance publishes — retry
-// afterwards. On a durable engine the boundary change and bulk moves are
-// WAL-logged and checkpointed, so a crash at any point recovers to one
-// consistent boundary set.
+// reported as Pause). Writes keep flowing too. A cross-shard UpdateKey of a
+// row currently in flight waits for the rebalance to publish and then
+// succeeds; a Delete or same-shard UpdateKey of such a row fails with
+// "absent key" until the rebalance publishes — retry afterwards. On a
+// durable engine the boundary change and bulk moves are WAL-logged and
+// checkpointed, so a crash at any point recovers to one consistent boundary
+// set.
 func (e *Engine) Rebalance() (RebalanceResult, error) { return e.sh.Rebalance() }
-
-// RebalanceWith is Rebalance under an explicit proposal strategy;
-// RebalanceQuantile restores the exhaustive all-boundaries re-split, for
-// comparing migration volume and publish pause against the minimal default
-// (casperbench -rebalance reports both side by side).
-func (e *Engine) RebalanceWith(s RebalanceStrategy) (RebalanceResult, error) {
-	return e.sh.RebalanceWith(s)
-}
 
 // RebalanceTo migrates rows onto an explicit boundary set (strictly
 // increasing, exactly Shards()-1 entries) — manual resharding for operators
-// who know the target distribution better than any proposer. The migration
+// who know the target distribution better than any proposer (a quantile
+// re-split of every boundary, say). The migration
 // is still planned from the ownership delta, so unchanged boundaries cost
 // nothing; otherwise identical to Rebalance.
 func (e *Engine) RebalanceTo(bounds []int64) (RebalanceResult, error) {
@@ -734,10 +716,9 @@ func (e *Engine) ShardSkew() float64 { return e.sh.Skew() }
 // RebalancePolicy tunes the background auto-rebalancer (see
 // StartAutoRebalance). Zero fields select defaults: CheckEvery (skew check
 // cadence, 200ms), MaxSkew (max/mean shard row-count ratio that triggers a
-// rebalance, 1.5), Strategy (boundary proposer, RebalanceMinimal), MinRows
-// (total rows before rebalancing is considered, 1024), MinOps (monitored
-// operations between rebalances, 256 — an idle engine never rebalances on
-// stale skew).
+// rebalance, 1.5), MinRows (total rows before rebalancing is considered,
+// 1024), MinOps (monitored operations between rebalances, 256 — an idle
+// engine never rebalances on stale skew).
 type RebalancePolicy = shard.RebalancePolicy
 
 // StartAutoRebalance launches the background rebalancing worker: when the

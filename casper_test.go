@@ -2,6 +2,7 @@ package casper
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 )
@@ -577,13 +578,18 @@ func TestRebalancePublicAPI(t *testing.T) {
 	if got := e.Rebalances(); got != 1 {
 		t.Fatalf("Rebalances = %d, want 1", got)
 	}
-	// The minimal default left the repaired fleet alone; the exhaustive
-	// quantile baseline stays selectable through RebalanceWith.
+	// The minimal default left the repaired fleet alone; a quantile re-split
+	// of every boundary goes through RebalanceTo.
 	if res, err := e.Rebalance(); err != nil || res.Moved != 0 {
 		t.Fatalf("repeat minimal rebalance: moved %d, err %v; want a no-op", res.Moved, err)
 	}
-	if _, err := e.RebalanceWith(RebalanceQuantile); err != nil {
-		t.Fatalf("RebalanceWith(RebalanceQuantile): %v", err)
+	live := slices.Clone(keys)
+	for i := 0; i < 3_000; i++ {
+		live = append(live, 40_001+int64(i))
+	}
+	slices.Sort(live)
+	if _, err := e.RebalanceTo([]int64{live[len(live)/4], live[len(live)/2], live[3*len(live)/4]}); err != nil {
+		t.Fatalf("quantile RebalanceTo: %v", err)
 	}
 	if got := e.ShardSkew(); got >= 1.5 {
 		t.Fatalf("skew %.2f after quantile rebalance", got)

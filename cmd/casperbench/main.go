@@ -22,7 +22,7 @@
 //	casperbench -throughput -shards 1,2,4,8 -workers 8
 //	casperbench -throughput -cpus 1,2,4,8 # worker sweep, JSON artifact
 //	casperbench -durable -rows 200000     # WAL overhead per fsync policy + recovery time
-//	casperbench -rebalance -rows 200000   # skewed-drift scenario: quantile vs minimal proposer
+//	casperbench -rebalance -rows 200000   # skewed-drift scenario: quantile baseline vs minimal Rebalance
 //	casperbench -scan -rows 200000        # streaming cursor sweep: LIMIT × result size
 //	casperbench -replica -rows 200000     # follower lag vs ingest rate; asserts lag -> 0 after quiesce
 //	casperbench -scenario flashcrowd      # 50x write spike, uncontrolled vs admission-controlled
@@ -50,8 +50,9 @@
 // allocates O(batch) bytes and reaches its first row orders of magnitude
 // before the materialized path.
 //
-// The -rebalance report compares the two boundary-proposal strategies on
-// the same drifted fleet, one column per metric:
+// The -rebalance report compares a quantile re-split of every boundary
+// (RebalanceTo) with the engine's minimal-movement Rebalance on the same
+// drifted fleet, one column per metric:
 //
 //	rows-moved       rows migrated between shards (minimal ~ drift size)
 //	stragglers       rows caught by the publish-window rescan of the
@@ -73,6 +74,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -301,12 +303,12 @@ func runDurable(rows, measuredOps int, seed int64) error {
 	return nil
 }
 
-// runRebalance drives the skewed-drift scenario once per proposal strategy:
-// a range-sharded engine is loaded uniformly, the write distribution then
-// drifts entirely past one end of the key range (piling the new rows onto
-// the last shard), and one rebalance re-splits the boundaries. The report
-// compares the exhaustive quantile baseline against the minimal-movement
-// default side by side: rows moved, stragglers caught by the delta-bounded
+// runRebalance drives the skewed-drift scenario twice: a range-sharded
+// engine is loaded uniformly, the write distribution then drifts entirely
+// past one end of the key range (piling the new rows onto the last shard),
+// and one rebalance re-splits the boundaries. The report compares an
+// exhaustive quantile baseline (RebalanceTo the quantiles of every loaded
+// key) against the engine's minimal-movement Rebalance side by side: rows moved, stragglers caught by the delta-bounded
 // publish rescan, the exclusive publish-window pause (which the minimal
 // strategy measures over the changed intervals only), how many boundaries
 // actually changed, and skew before/after. A second drift burst then
@@ -330,22 +332,35 @@ func runRebalance(rows, measuredOps int, seed int64) error {
 		batch[i] = casper.Op{Kind: casper.Insert, Key: domain + 1 + int64(i)}
 	}
 
+	// The quantile baseline's bounds: every shards-th of the loaded keys.
+	loaded := append(slices.Clone(keys), make([]int64, 0, len(batch))...)
+	for _, op := range batch {
+		loaded = append(loaded, op.Key)
+	}
+	slices.Sort(loaded)
+	quantiles := make([]int64, shards-1)
+	for i := range quantiles {
+		quantiles[i] = loaded[(i+1)*len(loaded)/shards]
+		if i > 0 && quantiles[i] <= quantiles[i-1] {
+			quantiles[i] = quantiles[i-1] + 1
+		}
+	}
+
 	var eng *casper.Engine
 	fmt.Printf("%-10s %12s %12s %14s %16s %18s\n",
 		"strategy", "rows-moved", "stragglers", "pause-ms", "bounds-changed", "skew")
-	for _, strat := range []struct {
-		name string
-		s    casper.RebalanceStrategy
-	}{
-		{"quantile", casper.RebalanceQuantile},
-		{"minimal", casper.RebalanceMinimal},
-	} {
+	for _, strat := range []string{"quantile", "minimal"} {
 		e, err := casper.Open(keys, casper.Options{Mode: casper.ModeCasper, Shards: shards, ShardByRange: true})
 		if err != nil {
 			return err
 		}
 		e.ApplyBatch(batch)
-		res, err := e.RebalanceWith(strat.s)
+		var res casper.RebalanceResult
+		if strat == "quantile" {
+			res, err = e.RebalanceTo(quantiles)
+		} else {
+			res, err = e.Rebalance()
+		}
 		if err != nil {
 			return err
 		}
@@ -356,9 +371,9 @@ func runRebalance(rows, measuredOps int, seed int64) error {
 			}
 		}
 		fmt.Printf("%-10s %12d %12d %14.2f %11d of %d %10.2fx -> %.2fx\n",
-			strat.name, res.Moved, res.Stragglers, res.Pause.Seconds()*1e3,
+			strat, res.Moved, res.Stragglers, res.Pause.Seconds()*1e3,
 			changed, len(res.OldBounds), res.SkewBefore, res.SkewAfter)
-		if strat.s == casper.RebalanceMinimal {
+		if strat == "minimal" {
 			eng = e // the minimal engine carries on into the auto demo
 		} else {
 			e.Close()

@@ -222,8 +222,8 @@ func (e *Engine) NewReplicator(boundsEpoch uint64) *Replicator {
 const applyWindow = 8192
 
 // Apply merges recs into epoch order and applies them to the engine's
-// shards, installing RecRebalance boundary sets newer than the one already
-// routed. It holds every gate stripe exclusively while applying (in bounded
+// shards, and installs each RecRebalance boundary set newer than the one
+// already routed. It holds every gate stripe exclusively while applying (in bounded
 // windows), so View-consistent readers never observe a half-applied window,
 // and advances the engine's epoch oracle to the highest epoch applied.
 // Returns the number of records applied; an error (an empty shard could not

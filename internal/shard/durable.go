@@ -16,20 +16,23 @@ package shard
 // WAL persists the very wal.Records a retrain journal would hold, and
 // replaying the tail onto the checkpoint through the shared applier
 // (applyRecord) reproduces the live table byte-identically.
-// Cross-shard moves log one MoveOut/MoveIn record pair inside the publish
-// window; recovery reconciles pairs whose halves straddle the crash so a row
-// is never restored on zero or two shards.
+// Every row a migration moves (a cross-shard UpdateKey or a rebalance) logs
+// one MoveOut/MoveIn record pair inside the migration's publish window;
+// recovery reconciles pairs whose halves straddle the crash so a row is never
+// restored on zero or two shards.
 //
 // Checkpoints cut one shard at a single point: under the shard's gate
-// stripe (shared — move-gate transitions take every stripe, so no move can
-// stage or publish) plus the shard's exclusive swap lock (no writer, no WAL
+// stripe (shared — migration windows take every stripe, so no row can stage
+// or publish) plus the shard's exclusive swap lock (no writer, no WAL
 // append), the WAL is rotated and the table snapshot taken, satisfying
 // table.Snapshot's serialize-writers contract.
-// Rows staged OUT of the shard by an in-flight move are folded back in at
-// their old key, exactly mirroring reader-side registry compensation. The
-// checkpoint also records the move-ID horizon: every move with a smaller ID
-// fully published before the cut, which recovery uses to tell a crashed move
-// half from one whose record was legitimately pruned by a checkpoint.
+// Rows staged OUT of the shard by an in-flight migration are folded back in
+// at their old key, exactly mirroring reader-side registry compensation
+// (boundaries never change while a row is staged, so the shard a row left
+// still owns its old key). The checkpoint also records the move-ID horizon:
+// every move with a smaller ID fully published before the cut, which
+// recovery uses to tell a crashed move half from one whose record was
+// legitimately pruned by a checkpoint.
 //
 // Recovery loads each shard's newest valid checkpoint, restores the trained
 // layouts without re-running the solver, merges every shard's WAL tail in
@@ -341,14 +344,14 @@ func (e *Engine) rewriteManifest() error {
 	return nil
 }
 
-// PendingMove describes one staged cross-shard move: the row has been taken
-// from its source shard but not yet published at its destination; readers
-// serve it from the registry at Old.
+// PendingMove describes one staged row of an in-flight migration: the row
+// has been taken from its source shard but not yet published at its
+// destination; readers serve it from the registry at Old.
 type PendingMove struct {
 	Old, New int64
 }
 
-// PendingMoves returns the staged cross-shard moves currently in flight.
+// PendingMoves returns the rows an in-flight migration has staged.
 // Checkpoints fold these rows back into their source shard at Old, so a
 // checkpoint cut while a move is staged never persists the row on zero or
 // two shards.
@@ -425,7 +428,7 @@ func (e *Engine) checkpointShard(i int) error {
 		cp.Layouts = fromTableLayouts(s.tbl.ChunkLayouts())
 	}
 	for _, m := range v.moves.byOld {
-		if p.Shard(m.old) == i {
+		if m.src == i {
 			cp.Keys, cp.Rows = insertSorted(cp.Keys, cp.Rows, m.old, m.row)
 		}
 	}

@@ -354,9 +354,7 @@ func TestKillReplayRandomOffsets(t *testing.T) {
 // bit-identical mid-crash and still recover exactly one consistent set.
 func TestKillReplayDuringRebalance(t *testing.T) {
 	t.Run("quantile", func(t *testing.T) {
-		runKillReplayRebalance(t, func(e *Engine) (RebalanceResult, error) {
-			return e.RebalanceWith(RebalanceQuantile)
-		}, false)
+		runKillReplayRebalance(t, rebalanceQuantile, false)
 	})
 	t.Run("minimal", func(t *testing.T) {
 		runKillReplayRebalance(t, func(e *Engine) (RebalanceResult, error) {
@@ -421,7 +419,7 @@ func runKillReplayRebalance(t *testing.T, rebalance func(*Engine) (RebalanceResu
 	// nothing of the rebalance in the WAL).
 	stagedImg := t.TempDir()
 	stagedCopied := false
-	e.betweenRebalanceWindows = func() {
+	e.afterStage = func() {
 		if !stagedCopied {
 			stagedCopied = true
 			copyDir(t, dir, stagedImg)
@@ -556,7 +554,7 @@ func TestCheckpointDuringStagedMove(t *testing.T) {
 
 	crash := t.TempDir()
 	checked := false
-	e.betweenMoveWindows = func() {
+	e.afterStage = func() {
 		pend := e.PendingMoves()
 		if len(pend) != 1 || pend[0].Old != old || pend[0].New != new {
 			t.Errorf("PendingMoves mid-move = %+v, want [{%d %d}]", pend, old, new)
@@ -575,7 +573,7 @@ func TestCheckpointDuringStagedMove(t *testing.T) {
 		t.Fatalf("UpdateKey: %v", err)
 	}
 	if !checked {
-		t.Fatal("betweenMoveWindows seam did not run")
+		t.Fatal("afterStage seam did not run")
 	}
 	if pend := e.PendingMoves(); len(pend) != 0 {
 		t.Fatalf("PendingMoves after publish = %+v", pend)

@@ -190,7 +190,7 @@ func TestMinimalVsQuantileMovement(t *testing.T) {
 	}
 
 	quant := build()
-	qres, err := quant.RebalanceWith(RebalanceQuantile)
+	qres, err := rebalanceQuantile(quant)
 	if err != nil {
 		t.Fatalf("quantile rebalance: %v", err)
 	}
@@ -272,7 +272,7 @@ func TestDeltaRescanEquivalence(t *testing.T) {
 	// re-split) region become exactly the stragglers the publish rescan
 	// must catch.
 	var hotspot int64
-	e.betweenRebalanceWindows = func() {
+	e.afterStage = func() {
 		for i := 0; i < 8; i++ {
 			k := (hotspot + rng.Int63n(domain/16)) % domain
 			e.Insert(k)

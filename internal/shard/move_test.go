@@ -1,18 +1,23 @@
 package shard
 
-// White-box suite for the epoch-based cross-shard commit protocol and the
-// row-identity retrain journal: destination-failure rollback, monitor
-// recording discipline, and byte-identical journal replay with duplicate
-// keys carrying different payloads.
+// White-box suite for cross-shard UpdateKey — a one-row migration — and the
+// row-identity retrain journal: destination-failure rollback, waiting out an
+// in-flight rebalance, WAL append errors, allocation cost, monitor recording
+// discipline, and byte-identical journal replay with duplicate keys carrying
+// different payloads.
 
 import (
 	"errors"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"casper/internal/table"
 	"casper/internal/wal"
+	"casper/internal/workload"
 )
 
 func moveTestConfig() table.Config {
@@ -291,5 +296,178 @@ func TestMonitorSessionSharesTheRetrainerWindows(t *testing.T) {
 	e.StopAutoRetrain()
 	if e.monitoring() {
 		t.Fatalf("recording still on with no consumer (monOn = %d)", e.monOn.Load())
+	}
+}
+
+// TestCrossShardUpdateWaitsForInstall: a cross-shard UpdateKey of a row that
+// an in-flight rebalance has parked queues behind the rebalance and moves the
+// row once the new bounds are installed, instead of failing with "absent
+// key". A reader checks throughout that the row is visible exactly once.
+func TestCrossShardUpdateWaitsForInstall(t *testing.T) {
+	keys := workload.UniformKeys(2_000, 40_000, 17)
+	e, err := New(keys, rebalanceConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := e.loadPart().(*RangePartitioner).Bounds()
+	shifted := make([]int64, len(old))
+	for i, v := range old {
+		shifted[i] = v + 2_000 // [old[i], old[i]+2000) moves from shard i+1 to shard i
+	}
+	a := old[0] + 1 // parked by the rebalance: shard 1 loses it to shard 0
+	for e.PointQuery(a) != 0 {
+		a++
+	}
+	const b = 45_000 // past every key: the last shard under both bound sets
+	e.Insert(a)
+
+	parked := make(chan struct{})
+	release := make(chan struct{})
+	var park sync.Once
+	e.afterStage = func() {
+		for _, m := range e.PendingMoves() {
+			if m.Old == a {
+				park.Do(func() { close(parked); <-release })
+			}
+		}
+	}
+	rebDone := make(chan error, 1)
+	go func() {
+		_, err := e.RebalanceTo(shifted)
+		rebDone <- err
+	}()
+	<-parked
+
+	var stop atomic.Bool
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		for !stop.Load() {
+			e.View(func(v *View) {
+				if n := v.PointQuery(a) + v.PointQuery(b); n != 1 {
+					t.Errorf("row visible %d times", n)
+				}
+			})
+		}
+	}()
+	updDone := make(chan error, 1)
+	go func() { updDone <- e.UpdateKey(a, b) }()
+	select {
+	case err := <-updDone:
+		t.Fatalf("UpdateKey returned (%v) while the rebalance held the row", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	if err := <-updDone; err != nil {
+		t.Fatalf("UpdateKey after the install: %v", err)
+	}
+	if got := e.loadPart().(*RangePartitioner).Bounds(); !slices.Equal(got, shifted) {
+		t.Fatalf("UpdateKey returned before the install: bounds %v, want %v", got, shifted)
+	}
+	if err := <-rebDone; err != nil {
+		t.Fatalf("RebalanceTo: %v", err)
+	}
+	stop.Store(true)
+	<-readerDone
+	if na, nb := e.PointQuery(a), e.PointQuery(b); na != 0 || nb != 1 {
+		t.Fatalf("after update: counts (%d,%d), want (0,1)", na, nb)
+	}
+	assertPlacement(t, e)
+}
+
+// TestMigrationSurfacesWALAppendErrors: the MoveOut/MoveIn and RecRebalance
+// appends of a publish report their errors to the caller instead of leaving
+// them to a later commit.
+func TestMigrationSurfacesWALAppendErrors(t *testing.T) {
+	cfg := durableConfig(t.TempDir())
+	cfg.ByRange = true
+	keys := make([]int64, 600)
+	for i := range keys {
+		keys[i] = int64(i)
+	}
+	e, err := New(keys, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	dst := e.Shards() - 1
+	if err := e.shards[dst].log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	const want = "wal: append to closed log"
+	if err := e.UpdateKey(1, 10_000); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("cross-shard UpdateKey into a closed WAL: err = %v, want one wrapping %q", err, want)
+	}
+	if e.PointQuery(1) != 0 || e.PointQuery(10_000) != 1 {
+		t.Fatal("the in-memory move must still have happened")
+	}
+	bounds := e.loadPart().(*RangePartitioner).Bounds()
+	for i := range bounds {
+		bounds[i] += 7
+	}
+	if _, err := e.RebalanceTo(bounds); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("RebalanceTo with a closed WAL: err = %v, want one wrapping %q", err, want)
+	}
+}
+
+// pingPongEngine builds a range-sharded engine of rows keys over 4 shards
+// plus one extra row, and returns it with a key pair the row ping-pongs
+// between: the first and last shard when cross, else two keys of shard 0.
+func pingPongEngine(tb testing.TB, rows int, cross bool) (*Engine, int64, int64) {
+	tb.Helper()
+	keys := make([]int64, rows)
+	for i := range keys {
+		keys[i] = int64(i) * 10
+	}
+	e, err := New(keys, Config{Shards: 4, ByRange: true, Table: moveTestConfig()})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	a, b := int64(-5), int64(-3)
+	if cross {
+		b = int64(rows)*10 + 5
+	}
+	if p := e.Partitioner(); (p.Shard(a) != p.Shard(b)) != cross {
+		tb.Fatalf("keys %d,%d: shards %d,%d", a, b, p.Shard(a), p.Shard(b))
+	}
+	e.Insert(a)
+	return e, a, b
+}
+
+// BenchmarkUpdateKeyCrossShard ping-pongs one row between shards 0 and 3 of
+// a 200k-row engine — one one-row migration per op — beside a same-shard
+// ping-pong as the reference.
+func BenchmarkUpdateKeyCrossShard(b *testing.B) {
+	for _, tc := range []struct {
+		name  string
+		cross bool
+	}{{"cross", true}, {"same", false}} {
+		b.Run(tc.name, func(b *testing.B) {
+			e, x, y := pingPongEngine(b, 200_000, tc.cross)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := e.UpdateKey(x, y); err != nil {
+					b.Fatal(err)
+				}
+				x, y = y, x
+			}
+		})
+	}
+}
+
+// TestCrossShardUpdateAllocs pins the cost of a one-row migration: a
+// cross-shard UpdateKey allocates no more than the dedicated move protocol
+// it replaced did (16 allocations per op).
+func TestCrossShardUpdateAllocs(t *testing.T) {
+	e, x, y := pingPongEngine(t, 20_000, true)
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := e.UpdateKey(x, y); err != nil {
+			t.Fatal(err)
+		}
+		x, y = y, x
+	})
+	if allocs > 16 {
+		t.Fatalf("cross-shard UpdateKey allocates %.1f times per op, want <= 16", allocs)
 	}
 }

@@ -68,12 +68,8 @@ func NewRangePartitioner(keys []int64, n int) *RangePartitioner {
 	copy(sorted, keys)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	var bounds []int64
-	for i := 1; i < n; i++ {
-		idx := i * len(sorted) / n
-		if idx >= len(sorted) {
-			idx = len(sorted) - 1
-		}
-		b := sorted[idx]
+	for i := 1; i < n && len(sorted) > 0; i++ {
+		b := sorted[i*len(sorted)/n]
 		// Boundaries must be strictly increasing or duplicate keys could
 		// straddle shards; collapse ties rather than split a key.
 		if len(bounds) > 0 && b <= bounds[len(bounds)-1] {
@@ -127,36 +123,8 @@ func (p *RangePartitioner) Span(lo, hi int64) (int, int) {
 // Shards implements Partitioner.
 func (p *RangePartitioner) Shards() int { return len(p.bounds) + 1 }
 
-// proposeBounds returns exactly n-1 strictly increasing boundaries whose
-// quantile split balances keys (any order) across n shards — the rebalance
-// proposal. Unlike NewRangePartitioner, which collapses ties and may return
-// a partitioner with fewer shards, a rebalance must preserve the engine's
-// shard count, so when keys has too few distinct values the quantile bounds
-// are padded with synthetic boundaries (the extra shards own empty ranges).
-func proposeBounds(keys []int64, n int) []int64 {
-	if n < 1 {
-		n = 1
-	}
-	sorted := make([]int64, len(keys))
-	copy(sorted, keys)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	var bounds []int64
-	for i := 1; i < n && len(sorted) > 0; i++ {
-		idx := i * len(sorted) / n
-		if idx >= len(sorted) {
-			idx = len(sorted) - 1
-		}
-		b := sorted[idx]
-		if len(bounds) > 0 && b <= bounds[len(bounds)-1] {
-			continue
-		}
-		bounds = append(bounds, b)
-	}
-	return padBounds(bounds, n)
-}
-
 // ProposeMinimalBounds is the minimal-movement rebalance proposer: instead
-// of re-splitting every boundary on the global quantiles (proposeBounds), it
+// of re-splitting every boundary on the global quantiles, it
 // computes per-shard occupancy under oldBounds, identifies only the shards
 // breaching the skew bound, and re-splits each repair region — a breaching
 // shard plus the lighter neighbors absorbing its load — on the region's own
@@ -359,8 +327,7 @@ func regionBounds(sortedKeys []int64, size int, loLim, hiLim int64) []int64 {
 }
 
 // padBoundsWithin extends a strictly increasing boundary set already inside
-// [loLim, hiLim] to exactly need entries without leaving the interval —
-// padBounds with walls. The caller has verified the interval's capacity, so
+// [loLim, hiLim] to exactly need entries without leaving the interval. The caller has verified the interval's capacity, so
 // the only nil return is the unreachable exhausted-interval case.
 func padBoundsWithin(bounds []int64, need int, loLim, hiLim int64) []int64 {
 	for len(bounds) < need {
@@ -438,40 +405,4 @@ func ownershipDelta(oldBounds, newBounds []int64) []keyInterval {
 	}
 	emit(prev, math.MaxInt64)
 	return out
-}
-
-// padBounds extends a strictly increasing boundary set to exactly n-1
-// entries, preferring successors past the current maximum, then predecessors
-// below the current minimum, then interior gaps — total for every input the
-// int64 domain can accommodate (n-1 distinct values always fit).
-func padBounds(bounds []int64, n int) []int64 {
-	need := n - 1
-	for len(bounds) < need {
-		if len(bounds) == 0 {
-			bounds = append(bounds, 0)
-			continue
-		}
-		if last := bounds[len(bounds)-1]; last < math.MaxInt64 {
-			bounds = append(bounds, last+1)
-			continue
-		}
-		if first := bounds[0]; first > math.MinInt64 {
-			bounds = append([]int64{first - 1}, bounds...)
-			continue
-		}
-		// Both extremes taken: split the first interior gap. bounds[i]+1
-		// cannot overflow because bounds[i] < bounds[i+1].
-		inserted := false
-		for i := 0; i+1 < len(bounds); i++ {
-			if bounds[i+1] > bounds[i]+1 {
-				bounds = append(bounds[:i+1], append([]int64{bounds[i] + 1}, bounds[i+1:]...)...)
-				inserted = true
-				break
-			}
-		}
-		if !inserted {
-			break // the whole int64 domain is a boundary; nothing left to add
-		}
-	}
-	return bounds
 }

@@ -532,9 +532,9 @@ func TestRebalanceAtomicVisibility(t *testing.T) {
 		}(w)
 	}
 
-	// Mover: ping-pongs the resident row. A move can transiently fail with
-	// "absent key" while a rebalance has the row staged; bounded sleepy
-	// retries avoid spinning a single-CPU scheduler.
+	// Mover: ping-pongs the resident row. A move that a boundary flip made
+	// same-shard fails with "absent key" while a rebalance has the row
+	// staged; bounded sleepy retries avoid spinning a single-CPU scheduler.
 	moveOnce := func(from, to int64) bool {
 		for try := 0; try < 20_000; try++ {
 			if err := e.UpdateKey(from, to); err == nil {

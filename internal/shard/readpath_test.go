@@ -16,7 +16,7 @@ import (
 func TestMoveIndexLookups(t *testing.T) {
 	mk := func(k int64) *pendingMove { return &pendingMove{old: k, new: k + 1} }
 	a, b, c := mk(10), mk(20), mk(20) // duplicate old keys are legal
-	ix := emptyMoves.with([]*pendingMove{b, a, c}, nil)
+	ix := &moveIndex{byOld: []*pendingMove{a, b, c}}
 	collect := func(lo, hi int64) []*pendingMove {
 		var out []*pendingMove
 		ix.forRange(lo, hi, func(m *pendingMove) { out = append(out, m) })
@@ -34,15 +34,8 @@ func TestMoveIndexLookups(t *testing.T) {
 	if got := collect(0, 100); len(got) != 3 {
 		t.Errorf("forRange(0,100) found %d moves, want 3", len(got))
 	}
-	ix = ix.with(nil, b)
-	if ix.len() != 2 {
-		t.Errorf("after drop: len = %d, want 2", ix.len())
-	}
-	if got := collect(20, 20); len(got) != 1 || got[0] != c {
-		t.Errorf("after drop: forRange(20,20) = %v, want only the kept duplicate", got)
-	}
 	// Published indexes are immutable: the shared empty index must never
-	// have absorbed any of the edits above.
+	// have absorbed a staged row.
 	if emptyMoves.len() != 0 {
 		t.Fatalf("emptyMoves mutated: len = %d", emptyMoves.len())
 	}
@@ -65,7 +58,7 @@ func TestStagedMoveSnapshotCompensation(t *testing.T) {
 	e.Insert(a)
 
 	checked := false
-	e.betweenMoveWindows = func() {
+	e.afterStage = func() {
 		checked = true
 		if got := stagedMoves(e); got != 1 {
 			t.Errorf("mid-move: %d staged moves, want 1", got)
@@ -93,7 +86,7 @@ func TestStagedMoveSnapshotCompensation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !checked {
-		t.Fatal("betweenMoveWindows seam never ran")
+		t.Fatal("afterStage seam never ran")
 	}
 	if e.PointQuery(a) != 0 || e.PointQuery(b) != 1 {
 		t.Errorf("after publish: counts (%d,%d), want (0,1)", e.PointQuery(a), e.PointQuery(b))

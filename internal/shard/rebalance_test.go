@@ -11,6 +11,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -158,6 +159,59 @@ func TestRebalanceValidation(t *testing.T) {
 		t.Errorf("valid RebalanceTo: %v", err)
 	}
 	assertPlacement(t, rng)
+}
+
+// proposeBounds is the exhaustive quantile re-split the suites use as the
+// heavy-migration reference next to the minimal proposer: exactly n-1
+// strictly increasing boundaries splitting keys (any order) evenly across n
+// shards. NewRangePartitioner collapses ties and may yield fewer shards, but
+// a rebalance keeps the shard count, so the quantile bounds are padded with
+// synthetic boundaries (the extra shards own empty ranges).
+func proposeBounds(keys []int64, n int) []int64 {
+	return padBounds(NewRangePartitioner(keys, n).Bounds(), max(n, 1))
+}
+
+// padBounds extends a strictly increasing boundary set to exactly n-1
+// entries, preferring successors past the current maximum, then predecessors
+// below the current minimum, then interior gaps — total for every input the
+// int64 domain can accommodate (n-1 distinct values always fit).
+func padBounds(bounds []int64, n int) []int64 {
+	need := n - 1
+	for len(bounds) < need {
+		if len(bounds) == 0 {
+			bounds = append(bounds, 0)
+			continue
+		}
+		if last := bounds[len(bounds)-1]; last < math.MaxInt64 {
+			bounds = append(bounds, last+1)
+			continue
+		}
+		if first := bounds[0]; first > math.MinInt64 {
+			bounds = append([]int64{first - 1}, bounds...)
+			continue
+		}
+		// Both extremes taken: split the first interior gap. bounds[i]+1
+		// cannot overflow because bounds[i] < bounds[i+1].
+		inserted := false
+		for i := 0; i+1 < len(bounds); i++ {
+			if bounds[i+1] > bounds[i]+1 {
+				bounds = append(bounds[:i+1], append([]int64{bounds[i] + 1}, bounds[i+1:]...)...)
+				inserted = true
+				break
+			}
+		}
+		if !inserted {
+			break // the whole int64 domain is a boundary; nothing left to add
+		}
+	}
+	return bounds
+}
+
+// rebalanceQuantile re-splits every boundary on the global quantiles of the
+// live keys — the heavy-migration workload the suites drive through
+// RebalanceTo.
+func rebalanceQuantile(e *Engine) (RebalanceResult, error) {
+	return e.RebalanceTo(proposeBounds(e.liveKeys(), e.Shards()))
 }
 
 func TestProposeBoundsPadding(t *testing.T) {
@@ -457,11 +511,12 @@ func TestRebalanceOracleTwin(t *testing.T) {
 	}
 }
 
-// TestRebalanceWaitsForStagedMove regresses the install barrier: a rebalance
-// must not install new boundaries while a cross-shard move is staged (the
-// move's WAL records and checkpoint folding assume the staged row's routed
-// owner is the shard it physically left). The move is parked between its two
-// windows; the rebalance must block until it drains, then complete.
+// TestRebalanceWaitsForStagedMove: a rebalance must not install new
+// boundaries while a cross-shard move is staged (the move's WAL records and
+// checkpoint folding assume the staged row's routed owner is the shard it
+// physically left). The move is parked between its two windows holding
+// migrateMu; the rebalance must block on it until the move publishes, then
+// complete.
 func TestRebalanceWaitsForStagedMove(t *testing.T) {
 	keys := workload.UniformKeys(2_000, 40_000, 17)
 	e, err := New(keys, rebalanceConfig())
@@ -483,9 +538,12 @@ func TestRebalanceWaitsForStagedMove(t *testing.T) {
 
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	e.betweenMoveWindows = func() {
-		close(entered)
-		<-release
+	var park sync.Once // the rebalance's own stage windows pass straight through
+	e.afterStage = func() {
+		park.Do(func() {
+			close(entered)
+			<-release
+		})
 	}
 	moveDone := make(chan error, 1)
 	go func() { moveDone <- e.UpdateKey(a, b) }()

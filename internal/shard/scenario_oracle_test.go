@@ -2,8 +2,9 @@ package shard
 
 // The scenario test wall: every adversarial workload from
 // internal/workload replayed serially against a durable range-sharded
-// engine whose full background cast is live — auto-retrainer,
-// auto-rebalancer (both boundary strategies), and a periodic checkpointer —
+// engine whose full background cast is live — auto-retrainer, a rebalancer
+// (the auto-rebalancer's minimal proposals, or quantile re-splits of every
+// boundary driven through RebalanceTo), and a periodic checkpointer —
 // with every read checked query-by-query against the plain-slice oracle
 // from rebalance_test.go. The property under test is that no combination of
 // phased skew, window drift, tenant banding, or scan pressure ever makes a
@@ -27,25 +28,21 @@ const (
 )
 
 func TestScenarioOracleWall(t *testing.T) {
-	strategies := []struct {
-		name string
-		s    RebalanceStrategy
-	}{
-		{"minimal", RebalanceMinimal},
-		{"quantile", RebalanceQuantile},
-	}
 	for _, name := range workload.ScenarioNames() {
-		for _, strat := range strategies {
-			name, strat := name, strat
-			t.Run(fmt.Sprintf("%s/%s", name, strat.name), func(t *testing.T) {
+		for _, strat := range []string{"minimal", "quantile"} {
+			name, quantile := name, strat == "quantile"
+			t.Run(fmt.Sprintf("%s/%s", name, strat), func(t *testing.T) {
 				t.Parallel()
-				runScenarioOracle(t, name, strat.s)
+				runScenarioOracle(t, name, quantile)
 			})
 		}
 	}
 }
 
-func runScenarioOracle(t *testing.T, scenario string, strat RebalanceStrategy) {
+// runScenarioOracle replays one scenario; quantile swaps the auto-rebalancer
+// for a ticker that re-splits every boundary on the live keys' quantiles
+// whenever the fleet is skewed — the heavy-migration stress.
+func runScenarioOracle(t *testing.T, scenario string, quantile bool) {
 	spec, err := workload.Scenario(scenario, scenOracleOps, 11)
 	if err != nil {
 		t.Fatal(err)
@@ -65,25 +62,43 @@ func runScenarioOracle(t *testing.T, scenario string, strat RebalanceStrategy) {
 	if err := e.StartAutoRetrain(RetrainPolicy{CheckEvery: 10 * time.Millisecond, MinOps: 200}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.StartAutoRebalance(RebalancePolicy{
-		CheckEvery: 10 * time.Millisecond,
-		MaxSkew:    1.05,
-		Strategy:   strat,
-		MinRows:    256,
-		MinOps:     64,
-	}); err != nil {
-		t.Fatal(err)
+	stopBG := make(chan struct{})
+	var bgWG sync.WaitGroup
+	if !quantile {
+		if err := e.StartAutoRebalance(RebalancePolicy{
+			CheckEvery: 10 * time.Millisecond,
+			MaxSkew:    1.05,
+			MinRows:    256,
+			MinOps:     64,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	} else {
+		bgWG.Add(1)
+		go func() {
+			defer bgWG.Done()
+			tick := time.NewTicker(10 * time.Millisecond)
+			defer tick.Stop()
+			for {
+				select {
+				case <-stopBG:
+					return
+				case <-tick.C:
+					if e.Skew() >= 1.05 {
+						_, _ = rebalanceQuantile(e) // durability errors are asserted at the end
+					}
+				}
+			}
+		}()
 	}
-	stopCkpt := make(chan struct{})
-	var ckptWG sync.WaitGroup
-	ckptWG.Add(1)
+	bgWG.Add(1)
 	go func() {
-		defer ckptWG.Done()
+		defer bgWG.Done()
 		tick := time.NewTicker(20 * time.Millisecond)
 		defer tick.Stop()
 		for {
 			select {
-			case <-stopCkpt:
+			case <-stopBG:
 				return
 			case <-tick.C:
 				// Failures here are not errors: a checkpoint can lose the
@@ -148,8 +163,8 @@ func runScenarioOracle(t *testing.T, scenario string, strat RebalanceStrategy) {
 		time.Sleep(15 * time.Millisecond)
 	}
 
-	close(stopCkpt)
-	ckptWG.Wait()
+	close(stopBG)
+	bgWG.Wait()
 	e.StopAutoRetrain()
 	e.StopAutoRebalance()
 
@@ -178,9 +193,10 @@ func runScenarioOracle(t *testing.T, scenario string, strat RebalanceStrategy) {
 }
 
 // retryStagedWrite runs a Delete/UpdateKey attempt, honoring the documented
-// staged-move contract: a write that targets a row while it is parked in
-// the staged-move registry fails with "absent key" even though the row is
-// live, and the caller retries after the rebalance publishes. When the
+// staged-move contract: a Delete or same-shard UpdateKey that targets a row
+// while a rebalance has it parked in the staged-move registry fails with
+// "absent key" even though the row is live, and the caller retries after
+// the rebalance publishes (a cross-shard UpdateKey waits on its own). When the
 // oracle says the row exists, a not-found result is therefore retried (the
 // publish window is bounded); a not-found against a row the oracle agrees
 // is gone returns immediately.

@@ -12,30 +12,30 @@
 //     re-trains drifted shards on a shadow copy, swapping the new layout in
 //     atomically so reads never block on re-layout (the online A' arc of
 //     Fig. 10);
-//   - cross-shard key moves commit through an epoch-based protocol (below),
+//   - rows move between shards through one row-migration protocol (below),
 //     so a concurrent reader observes a moving row on exactly one shard at
 //     all times.
 //
 // A 1-shard engine is behaviorally identical to the bare table, which keeps
 // the public casper API backward compatible.
 //
-// # Epoch-based cross-shard commit protocol
+// # Routing snapshots and the striped move gate
 //
 // The engine carries a global epoch counter (a txn.Oracle, shareable with
-// the transaction manager so commits and moves draw from one time domain)
-// and a registry of staged cross-shard moves. Routing state — the epoch,
-// the partitioner, and the staged-move registry (indexed by old key) — is
+// the transaction manager so commits and migrations draw from one time
+// domain) and a registry of staged rows. Routing state — the epoch, the
+// partitioner, and the staged-move registry (indexed by old key) — is
 // published as one immutable snapshot behind an atomic pointer (routeSnap),
 // so the hot read path pays one atomic load, not a contended lock acquire.
 // Consistency comes from the striped move gate: one reader/writer stripe
 // per shard. A point read holds the single stripe owning its key shared; a
 // range read holds exactly the stripes its span touches; whole-fleet reads
-// (Len, Chunks, View, RowCounts) hold every stripe shared. Move-gate
-// transitions — staging or publishing a cross-shard move, a rebalance
-// install — hold every stripe exclusively in ascending stripe order, so
-// holding any one stripe shared freezes the entire snapshot: the epoch,
-// the boundaries, and the registry are stable for the whole operation, and
-// disjoint reads no longer contend on a single gate cache line.
+// (Len, Chunks, View, RowCounts) hold every stripe shared. Migration
+// windows — a stage or a publish — hold every stripe exclusively in
+// ascending stripe order, so holding any one stripe shared freezes the
+// entire snapshot: the epoch, the boundaries, and the registry are stable
+// for the whole operation, and disjoint reads no longer contend on a single
+// gate cache line.
 //
 // A reader validates its stripes optimistically: load the snapshot, lock
 // the stripes the snapshot's partitioner routes to, then reload. If the
@@ -44,21 +44,60 @@
 // snapshot is used under the held stripes. Installs are rare, so the retry
 // loop almost always exits on the first pass.
 //
-// A cross-shard UpdateKey commits in two short exclusive windows:
+// # Row migration
 //
-//  1. Stage: take the row from the source shard and register the staged
-//     move (key pair + payload) in the registry. From this instant readers
-//     compensate: the staged row still counts at its old key, served from
-//     the registry instead of the source table.
-//  2. Publish: insert the row at the destination shard, retire the registry
-//     entry, and bump the global epoch — a single epoch bump that flips the
-//     row's visible home from the old key to the new one atomically.
+// Every row that changes shard does so through one protocol, whatever the
+// reason: a cross-shard UpdateKey is a one-row migration, and a rebalance
+// (rebalance.go) migrates every row whose owner changes under its new
+// boundaries. A migration holds migrateMu from its first stage window to
+// the end of its publish, so migrations never overlap: the registry only
+// ever holds the rows of the migration in flight, and boundaries never
+// change while a row is staged — a staged row's routed owner is always the
+// shard it physically left, which its WAL records and checkpoint folding
+// rely on.
 //
-// Because both transitions happen while readers are excluded (they take
-// every stripe), and readers hold their stripes across their whole fan-out,
-// no reader ever observes the row on zero shards or on two shards —
-// including while a shadow retrain of either shard is in flight (both
-// halves reach its journal like any other write; see below).
+//  1. Stage: rows are taken from their source shard and parked in the
+//     staged-move registry, in short exclusive windows (every stripe plus
+//     the source's swap lock) — one row for an update, batches of
+//     stageBatch for a rebalance. From this instant readers compensate: a
+//     staged row still counts at its old key, served from the registry
+//     instead of the source table. Between windows reads and writes run
+//     normally.
+//  2. Publish: one exclusive window holding every stripe and the swap lock
+//     of every shard the migration changes (source and destination of a
+//     one-row move, the whole fleet when boundaries change). When the
+//     boundaries change, the ownership delta is first rescanned for
+//     stragglers — rows written between the stage windows under the old
+//     routing. The epoch is bumped once; every staged row and straggler is
+//     placed on its owner (a row its destination rejects returns to its
+//     source at its old key, and the error is reported); each placed row is
+//     WAL-logged as a MoveOut/MoveIn record pair stamped with that epoch,
+//     plus one RecRebalance boundary record per shard when the boundaries
+//     change; and one snapshot publish retires the whole registry.
+//  3. Install (rebalances only): that same snapshot carries the new
+//     RangePartitioner, so every migrated row's visible home flips
+//     atomically with the epoch bump.
+//
+// The WAL commits (fsyncs, per the log's policy) run after the window's
+// locks drop. Because both transitions happen while readers are excluded
+// (they take every stripe), and readers hold their stripes across their
+// whole fan-out, no reader ever observes a row on zero shards or on two —
+// including while a shadow retrain of either shard is in flight (takes and
+// placements reach its journal; see below).
+//
+// A write that targets a staged row finds it absent from its shard: a
+// Delete or same-shard UpdateKey fails with "absent key" (for a one-row
+// move, exactly as had it run just after the publish; for a rebalance, the
+// caller retries after the install). A cross-shard UpdateKey instead queues
+// on migrateMu behind the migration and succeeds once it has published.
+//
+// Writers route to a shard, then revalidate the route after acquiring the
+// shard's swap lock: because an install holds every swap lock exclusively,
+// a writer that raced the install observes the new partitioner once it gets
+// the lock and re-routes instead of stranding its row on a shard that no
+// longer owns the key. Readers hold their gate stripes shared for their
+// full fan-out and validate the partitioner after locking, so they never
+// observe a half-installed boundary set.
 //
 // # One record, one replay path
 //
@@ -67,10 +106,10 @@
 // applied under). shard.run builds it once per write and hands the same
 // value to both logs — the in-memory retrain journal, kept only while a
 // shadow retrain of the shard is in flight, and the shard's WAL on durable
-// engines — under one jmu window, so both see application order. Whether a
-// record also reaches the WAL is a property of the call (run's skipWAL
-// argument), not of the record: move halves and rebalance staging takes are
-// journaled but logged later as MoveOut/MoveIn pairs (appendMovePair).
+// engines — under one jmu window, so both see application order. Migration
+// takes and placements never go through run: the locked take/place pair
+// (takeLocked, placeLocked) journals them for a shadow retrain, and the WAL
+// logs them at publish as MoveOut/MoveIn pairs.
 // Every consumer replays through one function, applyRecord (apply.go): the
 // retrain swap draining its journal onto the shadow, crash recovery
 // replaying WAL tails onto checkpoints, and a follower's Replicator. Row
@@ -82,18 +121,21 @@
 //
 // # Lock order
 //
-// Gate stripes come first, then shard locks, then the journal/WAL lock:
+// Migrations come first, then gate stripes, then shard locks, then the
+// journal/WAL lock:
 //
-//	gate stripe(s) (ascending stripe index) → shard.mu → shard.jmu
+//	rebalanceMu → migrateMu → gate stripe(s) (ascending stripe index) → shard.mu → shard.jmu
 //
 // Multi-stripe acquisitions — range spans, whole-fleet reads, and the
-// all-stripe exclusive windows of moves and installs — always acquire in
-// ascending stripe index order and release in descending order. Shard code
-// never acquires a stripe while holding shard.mu or jmu, so the order is
-// acyclic. layoutMu (per-shard layout serialization) is taken without any
-// stripe held and never nests inside one; monitor locks never nest inside
-// shard or table locks. The fan-out worker pool executes read closures
-// that take shard.mu only, so pool workers obey the same order.
+// all-stripe exclusive windows of migrations — always acquire in ascending
+// stripe index order and release in descending order; a publish window
+// takes the swap locks it needs in ascending shard order. Shard code never
+// acquires a stripe while holding shard.mu or jmu, and nothing takes
+// migrateMu while holding a stripe, so the order is acyclic. layoutMu
+// (per-shard layout serialization) is taken without any stripe held and
+// never nests inside one; monitor locks never nest inside shard or table
+// locks. The fan-out worker pool executes read closures that take shard.mu
+// only, so pool workers obey the same order.
 //
 // Observability (internal/obs) sits outside this order entirely: metric
 // recording is lock-free (atomic counters and histogram buckets) and must
@@ -103,8 +145,7 @@
 // the caller holds mu.RLock+jmu (atomics only, so no order edge is
 // created). Event-journal appends take only the journal's leaf mutex and
 // follow the same rule: emit lifecycle events after shard.mu/jmu windows
-// close (checkpoints, retrains) or under gate stripes alone (move
-// publish).
+// close (checkpoints, retrains, migration publishes).
 //
 // Aggregates (RangeCount, RangeSum, MultiRangeSum; Engine.foldShards) need
 // no key order, so they never enter the streaming path: they hold lockSpan
@@ -142,46 +183,15 @@
 // Range partitioning fixes boundaries at load time, so a drifted key
 // distribution piles rows onto one shard. Rebalancing (rebalance.go) is the
 // sharded analogue of re-partitioning inside a shard: a detector watches
-// per-shard row counts (max/mean skew) and write rates, proposes fresh
-// boundaries — by default the minimal-movement proposer, which re-splits
-// only the shards breaching the skew bound (merging load into their starved
-// neighbors) and leaves every other boundary bit-identical; the exhaustive
-// global-quantile re-split remains selectable as RebalanceQuantile — and
-// migrates rows through a three-step protocol that extends the cross-shard
-// commit protocol above. The whole migration is planned from the ownership
-// delta: the key intervals whose owner differs between the old and new
-// bounds. Rows outside those intervals keep their owner by construction, so
-// every scan below is bounded to them (table.KeysInRange) and both the
-// migration volume and the publish pause scale with the drift actually
-// absorbed, not with the table size:
-//
-//  1. Stage: rows inside the delta intervals are taken from the shards
-//     losing them and parked in the staged-move registry (old key == new
-//     key), in batches under short exclusive move-gate windows. Between
-//     batches readers run normally, serving staged rows from the registry —
-//     every row stays visible exactly once throughout.
-//  2. Publish: under one exclusive move-gate window that also holds every
-//     shard's swap lock (freezing single-shard writers), staged rows are
-//     inserted at their destination shards, the delta intervals (only) are
-//     rescanned for stragglers that landed after staging, and the bulk
-//     moves are WAL-logged as MoveOut/MoveIn pairs plus a RecRebalance
-//     boundary record carrying the (minimally changed) bounds.
-//     Before freezing, the window raises an install barrier: new
-//     cross-shard moves may not stage, and every in-flight one drains —
-//     boundaries never change while a move is staged, so a staged row's
-//     routed owner always equals the shard it physically left (the
-//     invariant its WAL records and checkpoint folding rely on).
-//  3. Install: still inside that window, the new RangePartitioner is
-//     installed with a single epoch bump, flipping every migrated row's
-//     visible home atomically; the registry entries retire with it.
-//
-// Writers route to a shard, then revalidate the route after acquiring the
-// shard's swap lock: because the install holds every swap lock exclusively,
-// a writer that raced the install observes the new partitioner once it gets
-// the lock and re-routes instead of stranding its row on a shard that no
-// longer owns the key. Readers hold their gate stripes shared for their
-// full fan-out and validate the partitioner after locking, so they never
-// observe a half-installed boundary set.
+// per-shard row counts (max/mean skew) and write rates, and the
+// minimal-movement proposer re-splits only the shards breaching the skew
+// bound (merging load into their starved neighbors), leaving every other
+// boundary bit-identical. The migration is planned from the ownership delta:
+// the key intervals whose owner differs between the old and new bounds.
+// Rows outside those intervals keep their owner by construction, so the
+// staging scan and the straggler rescan are bounded to them
+// (table.KeysInRange) and both the migration volume and the publish pause
+// scale with the drift actually absorbed, not with the table size.
 package shard
 
 import (
@@ -307,12 +317,14 @@ func newShard(i int, e *Engine, cfg Config) *shard {
 	return &shard{idx: i, eng: e, cfg: cfg.Table, mon: &monitor{cap: cfg.MonitorCap}, ep: cfg.Epoch}
 }
 
-// pendingMove is a cross-shard UpdateKey whose take half has executed but
-// whose insert half has not yet published: the row is physically on neither
-// shard, and readers serve it from this registry entry at its old key.
+// pendingMove is one row of a migration between its stage and its publish:
+// the row has left shard src and is physically on no shard, and readers
+// serve it from this registry entry at its old key. new is the key it
+// publishes at (old itself for a rebalance).
 type pendingMove struct {
 	old, new int64
 	row      []int32
+	src      int
 }
 
 // Engine is a sharded Casper engine.
@@ -323,10 +335,9 @@ type Engine struct {
 	// route is the atomically published routing snapshot: epoch,
 	// partitioner, and staged-move index as of the last move-gate
 	// transition. Reads load it once (one atomic load, no lock) and then
-	// pin it by holding gate stripes shared; every transition — move
-	// stage/publish/rollback, rebalance install — replaces the pointer
-	// with a fresh immutable snapshot while holding every stripe
-	// exclusively. Lock-free paths (batch grouping, monitor routing,
+	// pin it by holding gate stripes shared; every migration window — a
+	// stage or a publish — replaces the pointer with a fresh immutable
+	// snapshot while holding every stripe exclusively. Lock-free paths (batch grouping, monitor routing,
 	// write pre-routing) load it once per decision; writes revalidate
 	// their route under the shard swap lock.
 	route atomic.Pointer[routeSnap]
@@ -338,28 +349,27 @@ type Engine struct {
 	// (see fanPool).
 	pool *fanPool
 
-	// epoch is the global epoch counter of the cross-shard commit
-	// protocol; publishing a cross-shard move advances it exactly once.
+	// epoch is the global epoch counter; every migration publish advances
+	// it exactly once.
 	epoch *txn.Oracle
-	// installing (guarded by the all-stripe exclusive gate) is the
-	// rebalance install barrier: while set, new cross-shard moves may not
-	// stage. The rebalance publish window raises it and then waits for
-	// every in-flight move to drain before installing the new partitioner,
-	// so boundaries never change while a move is staged — logMove's record
-	// placement and checkpointShard's registry folding may therefore
-	// equate a staged row's routed owner with the shard it was physically
-	// taken from.
-	installing bool
+	// migrateMu serializes row migrations (cross-shard UpdateKeys and
+	// rebalances) from their first stage window to the end of their
+	// publish, so the staged-move registry only ever holds one migration's
+	// rows and boundaries never change while a row is staged.
+	migrateMu sync.Mutex
 	// failDestInsert, when non-nil, injects a destination-shard rejection
-	// into the publish half of a cross-shard move (test seam for the
-	// rollback path).
+	// into a migration's publish (test seam for the rollback path).
 	failDestInsert func(shard int, key int64) error
+	// afterStage, when non-nil, runs after every stage window of a
+	// migration with only migrateMu held (test seam for reads, writes and
+	// checkpoints against staged rows).
+	afterStage func()
 
 	// Durability state (zero on in-memory engines): dir is the engine
 	// directory, wopts the WAL options shared by every shard's log, and
-	// moveSeq the cross-shard move ID counter pairing MoveOut/MoveIn WAL
-	// records (allocated inside the publish window, so checkpoints cut
-	// under the move gate see a stable horizon).
+	// moveSeq the move ID counter pairing MoveOut/MoveIn WAL records
+	// (allocated inside the publish window, so checkpoints cut under the
+	// move gate see a stable horizon).
 	durable bool
 	dir     string
 	wopts   wal.Options
@@ -372,10 +382,6 @@ type Engine struct {
 	// failed during recovery replay (set once in recoverDurable, before the
 	// engine is shared; see ReplayMismatches).
 	replayMismatches int
-	// betweenMoveWindows, when non-nil, runs between the stage and publish
-	// windows of a cross-shard move with no locks held (test seam for
-	// checkpoint-during-move coverage).
-	betweenMoveWindows func()
 
 	// obs is the engine's metrics registry and event journal, created in
 	// initRoute with one stripe per shard. Metric recording is gated on
@@ -404,23 +410,21 @@ type Engine struct {
 	doneCh    chan struct{}
 	retrains  atomic.Uint64
 
-	// Rebalance state (rebalance.go): rebalanceMu serializes rebalances,
-	// rebalances counts completed ones, and the reb* channels bracket the
-	// auto-rebalance worker. betweenRebalanceWindows (test seam) runs with no
-	// locks held between the stage and publish phases; afterRebalanceWAL
+	// Rebalance state (rebalance.go): rebalanceMu serializes rebalances
+	// (proposal through checkpoint), rebalances counts completed ones, and
+	// the reb* channels bracket the auto-rebalance worker. afterRebalanceWAL
 	// (test seam) runs after the WAL commits but before the manifest rewrite.
-	rebalanceMu             sync.Mutex
-	rebalanceCtl            sync.Mutex
-	rebStopCh               chan struct{}
-	rebDoneCh               chan struct{}
-	rebalances              atomic.Uint64
-	betweenRebalanceWindows func()
-	afterRebalanceWAL       func()
-	// verifyRescan (test seam) runs inside the publish window, before the
-	// straggler take pass, with the full-table straggler multiset and the
-	// delta-bounded one — the shadow comparison behind the rescan
-	// equivalence property test. Must not call engine operations (every
-	// lock is held).
+	rebalanceMu       sync.Mutex
+	rebalanceCtl      sync.Mutex
+	rebStopCh         chan struct{}
+	rebDoneCh         chan struct{}
+	rebalances        atomic.Uint64
+	afterRebalanceWAL func()
+	// verifyRescan (test seam) runs inside a rebalance's publish window,
+	// before the straggler take pass, with the full-table straggler
+	// multiset and the delta-bounded one — the shadow comparison behind the
+	// rescan equivalence property test. Must not call engine operations
+	// (every lock is held).
 	verifyRescan func(full, bounded []int64)
 }
 
@@ -453,31 +457,6 @@ func (ix *moveIndex) forRange(lo, hi int64, fn func(*pendingMove)) {
 	}
 }
 
-// with returns a new index with add staged and drop retired. The receiver
-// is never mutated (published snapshots are immutable).
-func (ix *moveIndex) with(add []*pendingMove, drop *pendingMove) *moveIndex {
-	out := make([]*pendingMove, 0, len(ix.byOld)+len(add))
-	for _, m := range ix.byOld {
-		if m != drop {
-			out = append(out, m)
-		}
-	}
-	out = append(out, add...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].old < out[j].old })
-	return &moveIndex{byOld: out}
-}
-
-// without returns a new index dropping every move in drop.
-func (ix *moveIndex) without(drop map[*pendingMove]bool) *moveIndex {
-	out := make([]*pendingMove, 0, len(ix.byOld))
-	for _, m := range ix.byOld {
-		if !drop[m] {
-			out = append(out, m)
-		}
-	}
-	return &moveIndex{byOld: out}
-}
-
 // gateStripe is one stripe of the striped move gate, padded so the reader
 // counts of different shards live on distinct cache lines — the contention
 // the striping exists to remove.
@@ -508,20 +487,6 @@ func (e *Engine) loadPart() Partitioner { return e.route.Load().part }
 // its snapshot load and its compensation lookups.
 func (e *Engine) publishRoute(part Partitioner, ix *moveIndex) {
 	e.route.Store(&routeSnap{epoch: e.epoch.Now(), part: part, moves: ix})
-}
-
-// addMove publishes a snapshot with m staged; caller holds every stripe
-// exclusively.
-func (e *Engine) addMove(m *pendingMove) {
-	v := e.route.Load()
-	e.publishRoute(v.part, v.moves.with([]*pendingMove{m}, nil))
-}
-
-// dropMove publishes a snapshot with m retired; caller holds every stripe
-// exclusively.
-func (e *Engine) dropMove(m *pendingMove) {
-	v := e.route.Load()
-	e.publishRoute(v.part, v.moves.with(nil, m))
 }
 
 // lockKey acquires the gate stripe owning key shared and returns the
@@ -863,7 +828,7 @@ func (e *Engine) mutate(r *wal.Record, fn func(t *table.Table, capture bool) err
 		return ErrReadOnly
 	}
 	for {
-		if err, ok := e.shards[e.loadPart().Shard(r.Key)].run(r, false, fn); ok {
+		if err, ok := e.shards[e.loadPart().Shard(r.Key)].run(r, fn); ok {
 			return err
 		}
 	}
@@ -877,13 +842,8 @@ func (e *Engine) mutate(r *wal.Record, fn func(t *table.Table, capture bool) err
 // follower. fn performs the live mutation and receives whether it must
 // capture row identity; when it must, fn fills r.Row with the payload of the
 // row it touched before returning, and run stamps r.Epoch and appends r only
-// after fn succeeds. skipWAL keeps the record out of the WAL but not out of
-// the journal: the halves of a cross-shard move and a rebalance's staging
-// takes set it, because durability logs those as MoveOut/MoveIn pairs at
-// publish instead (so recovery can reconcile a move whose halves straddle
-// the crash) while a shadow retrain must still replay them. When the shard
-// is still empty, seed builds a one-row table for inserts; deletes and
-// updates report errEmptyShard.
+// after fn succeeds. When the shard is still empty, seed builds a one-row
+// table for inserts; deletes and updates report errEmptyShard.
 //
 // run returns ok=false without executing fn when the shard no longer owns
 // r's key under the current partitioner (a rebalance installed new
@@ -902,8 +862,8 @@ func (e *Engine) mutate(r *wal.Record, fn func(t *table.Table, capture bool) err
 // The WAL fsync (group commit, per the log's policy) happens after the locks
 // are released, so concurrent committers share fsyncs instead of serializing
 // on one.
-func (s *shard) run(r *wal.Record, skipWAL bool, fn func(t *table.Table, capture bool) error) (error, bool) {
-	logging := s.log != nil && !skipWAL
+func (s *shard) run(r *wal.Record, fn func(t *table.Table, capture bool) error) (error, bool) {
+	logging := s.log != nil
 	for {
 		s.mu.RLock()
 		if !s.routed(r) {
@@ -939,7 +899,7 @@ func (s *shard) run(r *wal.Record, skipWAL bool, fn func(t *table.Table, capture
 		if r.Kind == wal.RecDelete || r.Kind == wal.RecUpdate {
 			return errEmptyShard, true
 		}
-		ok, lsn, err := s.seed(r, logging)
+		ok, lsn, err := s.seed(r)
 		if err == nil && ok && logging {
 			err = s.log.Commit(lsn)
 		}
@@ -952,11 +912,11 @@ func (s *shard) run(r *wal.Record, skipWAL bool, fn func(t *table.Table, capture
 }
 
 // seed creates the shard's table holding exactly r's row, WAL-logging the
-// insert (when logging) under the same exclusive window so no later record
-// can precede it; the caller commits lsn after seeing ok. Returns ok=false
-// if another writer created the table first or the route went stale under a
-// concurrent rebalance.
-func (s *shard) seed(r *wal.Record, logging bool) (ok bool, lsn uint64, err error) {
+// insert (on a durable engine) under the same exclusive window so no later
+// record can precede it; the caller commits lsn after seeing ok. Returns
+// ok=false if another writer created the table first or the route went stale
+// under a concurrent rebalance.
+func (s *shard) seed(r *wal.Record) (ok bool, lsn uint64, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.tbl != nil || !s.routed(r) {
@@ -965,7 +925,7 @@ func (s *shard) seed(r *wal.Record, logging bool) (ok bool, lsn uint64, err erro
 	if _, err = s.replay(*r); err != nil { // empty shard: replay seeds the table from r's row
 		return false, 0, err
 	}
-	if logging {
+	if s.log != nil {
 		r.Epoch = s.ep.Now()
 		lsn, _ = s.log.Append(*r)
 	}
@@ -1350,13 +1310,14 @@ func (e *Engine) deleteAdmitted(key int64) error {
 }
 
 // UpdateKey changes one row's key, preserving its payload (Q6). When the old
-// and new keys live on different shards the move commits through the
-// epoch-based cross-shard protocol (see the package comment): a concurrent
-// reader observes the row on exactly one shard at all times — never on
-// neither, never on both, and never with a torn payload. The operation feeds
-// the drift monitor only when it succeeds. Under admission control the op
-// is gated on tenant lane 0 and may return ErrOverload without having been
-// applied.
+// and new keys live on different shards the update is a one-row migration
+// (see the package comment): a concurrent reader observes the row on exactly
+// one shard at all times — never on neither, never on both, and never with a
+// torn payload — and an update of a row parked by an in-flight rebalance
+// waits for that rebalance to publish, then moves the row. The operation
+// feeds the drift monitor only when it succeeds. Under admission control the
+// op is gated on tenant lane 0 and may return ErrOverload without having
+// been applied.
 func (e *Engine) UpdateKey(old, new int64) error { return e.Writer(0).UpdateKey(old, new) }
 
 // updateKeyAdmitted is the write path below admission.
@@ -1373,7 +1334,7 @@ func (e *Engine) updateKeyAdmitted(old, new int64) error {
 		var ok bool
 		if so == sn {
 			r := &wal.Record{Kind: wal.RecUpdate, Key: old, Key2: new}
-			err, ok = e.shards[so].run(r, false, func(t *table.Table, capture bool) error {
+			err, ok = e.shards[so].run(r, func(t *table.Table, capture bool) error {
 				if !capture {
 					return t.UpdateKey(old, new)
 				}
@@ -1385,7 +1346,7 @@ func (e *Engine) updateKeyAdmitted(old, new int64) error {
 				err = fmt.Errorf("shard: update of absent key %d", old)
 			}
 		} else {
-			err, ok = e.moveCrossShard(old, new)
+			err, ok = e.migrateRow(old, new)
 		}
 		if ok {
 			break
@@ -1398,156 +1359,36 @@ func (e *Engine) updateKeyAdmitted(old, new int64) error {
 	return err
 }
 
-// moveCrossShard moves one row between shards under the epoch-based commit
-// protocol. Stage: take the row from the source shard and register it as a
-// staged move, in one exclusive window — readers switch from the physical
-// row to the registry entry atomically, still counting it at old. Publish:
-// insert the row at the destination, retire the registry entry, and advance
-// the global epoch, in a second exclusive window — readers switch from the
-// registry entry to the physical row at new atomically. Both halves journal
-// like ordinary writes, so shadow retrains of either shard replay them
-// exactly. A destination-shard failure rolls the staged row back to the
-// source shard and reports the error — the row is never silently lost.
-//
-// A concurrent Delete(old) or UpdateKey(old, ...) that lands while the row
-// is staged serializes after this move: it fails with "absent key", exactly
-// as it would had it run just after the publish.
-//
-// The source and destination shards are re-derived from the current
-// partitioner inside each exclusive window (a rebalance can install new
-// boundaries between them); ok=false asks the caller to retry as a
-// same-shard update when a rebalance collapsed the two keys onto one shard
-// before the stage window.
-func (e *Engine) moveCrossShard(old, new int64) (_ error, ok bool) {
-	// The take, insert, and rollback halves all run with skipWAL: durability
-	// logs the move as one MoveOut/MoveIn record pair at publish (below),
-	// so a crash between the windows recovers the row at its old key and a
-	// rolled-back move leaves no WAL trace. The halves still journal for
-	// shadow retrains.
-	//
-	// The stage respects the rebalance install barrier: while a rebalance is
-	// about to install new boundaries it drains in-flight moves and blocks
-	// new stages, so the routing derived here cannot be invalidated between
-	// the two windows (sleepy retries, not spins — single-CPU friendly).
-	for {
-		e.lockAll()
-		if !e.installing {
-			break
-		}
-		e.unlockAll()
-		time.Sleep(200 * time.Microsecond)
-	}
-	so, sn := e.loadPart().Shard(old), e.loadPart().Shard(new)
+// migrateRow moves one row from old's shard to new's as a one-row migration:
+// one stage window parks it in the registry, one publish window lands it at
+// new on its owner (see the package comment). A staged row that the
+// destination rejects returns to its source at old and the error is
+// reported — the row is never silently lost. ok=false asks the caller to
+// retry as a same-shard update: a rebalance that published while this call
+// queued on migrateMu put both keys on one shard.
+func (e *Engine) migrateRow(old, new int64) (_ error, ok bool) {
+	e.migrateMu.Lock()
+	defer e.migrateMu.Unlock()
+	p := e.loadPart() // stable until migrateMu drops: only migrations change it
+	so, sn := p.Shard(old), p.Shard(new)
 	if so == sn {
-		e.unlockAll()
 		return nil, false
 	}
-	take := &wal.Record{Kind: wal.RecDelete, Key: old}
-	// The route is stable under the held move gate, so run cannot re-route.
-	err, _ := e.shards[so].run(take, true, func(t *table.Table, _ bool) error {
-		// The payload is needed for the move itself, journaling or not.
-		row, terr := t.TakeRow(old)
-		take.Row = row
-		return terr
-	})
-	if err != nil {
-		e.unlockAll()
-		if err == errEmptyShard {
-			return fmt.Errorf("shard: update of absent key %d", old), true
-		}
-		return err, true
+	if e.stage(so, []int64{old}, []int64{new}) == 0 {
+		return fmt.Errorf("shard: update of absent key %d", old), true
 	}
-	m := &pendingMove{old: old, new: new, row: take.Row}
-	e.addMove(m)
-	e.unlockAll()
 	e.obs.Event(obs.Event{Kind: obs.EvMoveStage, Shard: so, Rows: 1,
 		Note: fmt.Sprintf("key %d -> %d (shard %d -> %d)", old, new, so, sn)})
-
-	// Readers may run here: they serve the staged row from the registry.
-	if e.betweenMoveWindows != nil {
-		e.betweenMoveWindows()
+	var res RebalanceResult
+	pub, err := e.publish(p, nil, nil, &res)
+	if res.Moved == 1 {
+		e.obs.Event(obs.Event{Kind: obs.EvMovePublish, Shard: sn, Epoch: pub, Rows: 1,
+			Note: fmt.Sprintf("key %d -> %d (shard %d -> %d)", old, new, so, sn)})
 	}
-
-	e.lockAll()
-	defer e.unlockAll()
-	// Re-derive routing defensively. The install barrier means no rebalance
-	// can have changed the boundaries while this move was staged, so these
-	// must equal the stage-time values; if both keys ever did land on one
-	// shard the publish would still degenerate to a plain insert correctly.
-	p := e.loadPart()
-	so, sn = p.Shard(old), p.Shard(new)
-	ierr := error(nil)
-	if e.failDestInsert != nil {
-		ierr = e.failDestInsert(sn, new)
-	}
-	if ierr == nil {
-		ierr, _ = e.shards[sn].run(&wal.Record{Kind: wal.RecInsertRow, Key: new, Row: m.row}, true,
-			func(t *table.Table, _ bool) error { t.InsertRow(new, m.row); return nil })
-	}
-	if ierr != nil {
-		// Roll back: the staged row returns to the source shard; only then
-		// is its registry entry retired, so it stays visible throughout. If
-		// the rollback itself fails (not reachable with in-memory tables),
-		// the entry is kept pinned — the row stays readable at old rather
-		// than vanishing — and both errors are reported.
-		rerr, _ := e.shards[so].run(&wal.Record{Kind: wal.RecInsertRow, Key: old, Row: m.row}, true,
-			func(t *table.Table, _ bool) error { t.InsertRow(old, m.row); return nil })
-		if rerr != nil {
-			return fmt.Errorf("shard: cross-shard update %d→%d: destination insert: %v; rollback failed, row pinned in staged registry: %w", old, new, ierr, rerr), true
-		}
-		e.dropMove(m)
-		e.obs.Event(obs.Event{Kind: obs.EvMoveRollback, Shard: so, Rows: 1,
-			Note: fmt.Sprintf("key %d -> %d: %v", old, new, ierr)})
-		return fmt.Errorf("shard: cross-shard update %d→%d: destination insert: %w", old, new, ierr), true
-	}
-	pub := e.epoch.Advance() // the single epoch bump publishing the move
-	var werr error
-	if e.durable {
-		werr = e.logMove(so, sn, old, new, m.row, pub)
-	}
-	e.dropMove(m)
-	// Journal appends take only the journal's leaf mutex, so emitting under
-	// the held gate stripes is within the lock-order contract.
-	e.obs.Event(obs.Event{Kind: obs.EvMovePublish, Shard: sn, Epoch: pub, Rows: 1,
-		Note: fmt.Sprintf("key %d -> %d (shard %d -> %d)", old, new, so, sn)})
-	// A WAL error reports lost durability, not a lost move: the move is
-	// committed in memory either way, matching the state a recovery from
-	// the last durable record would reconcile to.
-	return werr, true
-}
-
-// appendMovePair allocates a move ID and appends the MoveOut/MoveIn record
-// pair of one published move (a cross-shard UpdateKey, or a rebalance bulk
-// move with Key == Key2) to the source and destination WALs, returning both
-// LSNs for the caller to commit. rec carries the publish epoch — so recovery
-// restores the epoch oracle past the bump even when the move is the last
-// durable event — plus the keys and the row. Caller holds every gate stripe
-// exclusively (publish window), so the pair is atomic with respect to
-// checkpoints and the move-ID horizon they record. Each append takes its
-// shard's jmu so the epoch stamps stay monotonic within that shard's WAL
-// (epoch-order replay relies on stable per-shard order).
-func (e *Engine) appendMovePair(so, sn int, rec wal.Record) (lsnOut, lsnIn uint64) {
-	rec.MoveID = e.moveSeq.Add(1)
-	src, dst := e.shards[so], e.shards[sn]
-	src.jmu.Lock()
-	rec.Kind = wal.RecMoveOut
-	lsnOut, _ = src.log.Append(rec) // sticky error surfaces in Commit
-	src.jmu.Unlock()
-	dst.jmu.Lock()
-	rec.Kind = wal.RecMoveIn
-	lsnIn, _ = dst.log.Append(rec)
-	dst.jmu.Unlock()
-	return lsnOut, lsnIn
-}
-
-// logMove makes a published cross-shard move durable: one record pair,
-// committed on both shards per the fsync policy.
-func (e *Engine) logMove(so, sn int, old, new int64, row []int32, pub uint64) error {
-	lsnOut, lsnIn := e.appendMovePair(so, sn, wal.Record{Epoch: pub, Key: old, Key2: new, Row: row})
-	if err := e.shards[so].log.Commit(lsnOut); err != nil {
-		return err
-	}
-	return e.shards[sn].log.Commit(lsnIn)
+	// After the row moved, an error reports lost durability, not a lost
+	// move: the move is committed in memory either way, matching the state
+	// a recovery from the last durable record would reconcile to.
+	return err, true
 }
 
 // ---------------------------------------------------------------------------

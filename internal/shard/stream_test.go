@@ -203,7 +203,7 @@ func TestStreamOracleViewPinned(t *testing.T) {
 			if flip {
 				_, _ = e.Rebalance()
 			} else {
-				_, _ = e.RebalanceWith(RebalanceQuantile)
+				_, _ = rebalanceQuantile(e)
 			}
 			flip = !flip
 			time.Sleep(time.Millisecond)
@@ -486,7 +486,7 @@ func TestAggregatesCountStagedRowsOnce(t *testing.T) {
 	e.Insert(old)
 	filters := []table.PayloadFilter{{Col: 1, Lo: math.MinInt32, Hi: math.MaxInt32}}
 	checked := false
-	e.betweenMoveWindows = func() {
+	e.afterStage = func() {
 		checked = true
 		for _, r := range [][2]int64{
 			{old - 10, old + 10},           // one shard: the source, staged row only
@@ -528,7 +528,7 @@ func TestAggregatesCountStagedRowsOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !checked {
-		t.Fatal("betweenMoveWindows seam never ran")
+		t.Fatal("afterStage seam never ran")
 	}
 	if got := e.RangeCount(math.MinInt64, math.MaxInt64); got != len(keys)+1 {
 		t.Errorf("after publish: fleet-wide RangeCount = %d, want %d", got, len(keys)+1)
